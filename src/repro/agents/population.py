@@ -40,7 +40,11 @@ import numpy as np
 from repro.agents.customer_agent import CustomerAgent
 from repro.agents.preferences import CustomerPreferenceModel, FleetRequirements
 from repro.agents.resource_consumer_agent import ResourceConsumerAgent
-from repro.core.modes import validate_materialise_mode, validate_planning_mode
+from repro.core.modes import (
+    DEFAULT_MATERIALISE_MODE,
+    validate_materialise_mode,
+    validate_planning_mode,
+)
 from repro.grid.appliances import ApplianceLibrary, standard_appliance_library
 from repro.grid.demand import DemandModel
 from repro.grid.fleet import Fleet, FleetIncompatibleError, pack_fleet
@@ -290,17 +294,17 @@ class CustomerPopulation:
         interval: Optional[TimeInterval] = None,
         max_allowed_overuse: float = 0.0,
         weather: Optional[WeatherSample] = None,
-        materialise: str = "eager",
+        materialise: str = DEFAULT_MATERIALISE_MODE,
     ) -> "CustomerPopulation":
         """A population assembled from columnar planning arrays.
 
         The compute-heavy planning quantities (predicted uses, requirement
         tables) arrive as arrays straight from the fleet kernels.  With
-        ``materialise="eager"`` (the default, and the equivalence oracle)
-        the per-customer spec objects the object-path sessions consume are
-        built immediately; with ``materialise="lazy"`` the population keeps
-        only the arrays and defers the spec objects until something actually
-        reads :attr:`specs` — the batched negotiation backends never do.
+        ``materialise="lazy"`` (the default) the population keeps only the
+        arrays and defers the spec objects until something actually reads
+        :attr:`specs` — the batched negotiation backends never do; with
+        ``materialise="eager"`` (the equivalence oracle) the per-customer
+        spec objects the object-path sessions consume are built immediately.
         Either way the population is bit-identical to one built through the
         scalar per-household loop.
         """
@@ -356,7 +360,7 @@ class CustomerPopulation:
         capacity_quantile: float = 0.75,
         max_allowed_overuse_fraction: float = 0.02,
         planning: str = "columnar",
-        materialise: str = "eager",
+        materialise: str = DEFAULT_MATERIALISE_MODE,
     ) -> "CustomerPopulation":
         """A synthetic household population with grid-substrate demand.
 
@@ -370,9 +374,10 @@ class CustomerPopulation:
         ``"columnar"`` (default) runs the fleet kernels, ``"scalar"`` the
         per-household object loop.  The two are bit-identical — the scalar
         path survives as the equivalence oracle and as the fallback for
-        fleet-incompatible household sets.  ``materialise="lazy"`` (columnar
-        path only) defers the per-customer spec objects; the scalar path
-        always materialises.
+        fleet-incompatible household sets.  ``materialise="lazy"`` (the
+        default; columnar path only) defers the per-customer spec objects;
+        ``"eager"`` builds them up front, and the scalar path always
+        materialises.
         """
         validate_planning_mode(planning)
         validate_materialise_mode(materialise)

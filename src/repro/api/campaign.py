@@ -11,11 +11,13 @@ every planned day's negotiation through the backend registry with a single
     result = campaign(planner, num_days=14, backend="object",
                       config=EngineConfig(planning="scalar"))   # oracle run
 
-The default configuration plans each day on the columnar
-:class:`~repro.grid.fleet.HouseholdFleet` kernels and negotiates on the
-fastest qualifying backend; ``EngineConfig(planning="scalar")`` plus
-``backend="object"`` reruns the identical campaign through the faithful
-object path — the seed-equivalence oracle.  Per-day backend choices land in
+The default configuration is the fast path: it plans each day on the
+columnar :class:`~repro.grid.fleet.HouseholdFleet` kernels, hands the plan
+over lazily (``materialise="lazy"``) and negotiates array rounds
+(``rounds="array"``) on the fastest qualifying backend.
+``EngineConfig(planning="scalar")`` plus ``backend="object"`` reruns the
+identical campaign through the faithful object path — the seed-equivalence
+oracle.  Per-day backend choices land in
 ``CampaignDay.backend`` (``CampaignResult.backends`` as a list), and the
 planning/negotiation wall-clock split in ``CampaignResult.planning_seconds``
 / ``negotiation_seconds``.
@@ -64,11 +66,13 @@ def campaign(
         ``"auto"`` (default).
     config:
         Base :class:`EngineConfig`; its ``planning`` field selects the
-        columnar or scalar planning path, its ``materialise`` field the
-        eager (oracle) or lazy (zero-materialisation) planning → negotiation
-        hand-off, and its ``history_window`` bounds the predictor's memory
-        (when omitted, the planner's own modes govern); its ``seed`` is
-        stepped per day.
+        columnar or scalar planning path, its ``materialise`` field the lazy
+        (default, zero-materialisation) or eager (oracle) planning →
+        negotiation hand-off, its ``rounds`` field array (default) or object
+        (oracle) rounds, and its ``history_window`` bounds the predictor's
+        memory.  When omitted, the planner's own planning and hand-off modes
+        govern and the negotiation runs on ``EngineConfig()``; its ``seed``
+        is stepped per day.
     warmup_days / seed / production / weather_model:
         Passed through to :class:`~repro.core.planning.MultiDayCampaign`.
     checkpoint_path:
@@ -87,8 +91,12 @@ def campaign(
     Returns
     -------
     CampaignResult
-        With ``metadata`` recording the requested backend and the planning
-        mode; per-day backend choices are on ``CampaignResult.backends``.
+        With ``metadata`` recording the requested backend, the planning
+        mode, the hand-off that ran (``materialise``: lazy applies only on
+        the columnar path) and the rounds mode that ran (``rounds``: taken
+        from the negotiated days, ``"mixed"`` when they differ, ``None``
+        when no day negotiated); per-day backend choices are on
+        ``CampaignResult.backends``.
     """
     resolved = config
     if overrides:
@@ -108,15 +116,18 @@ def campaign(
         checkpoint_path=checkpoint_path,
         resume_from=resume_from,
     )
+    # With no config given, the planner's own modes govern.
+    planning = resolved.planning if resolved is not None else planner.planning
+    materialise = resolved.materialise if resolved is not None else planner.materialise
+    if planning != "columnar" or planner.fleet is None:
+        # The scalar path (chosen or fallen back to) always materialises.
+        materialise = "eager"
     result.metadata.update(
         {
             "backend": backend,
-            # With no config given, the planner's own modes govern.
-            "planning": resolved.planning if resolved is not None else planner.planning,
-            "materialise": (
-                resolved.materialise if resolved is not None else planner.materialise
-            ),
-            "rounds": resolved.rounds if resolved is not None else "object",
+            "planning": planning,
+            "materialise": materialise,
+            "rounds": _rounds_ran(result),
             "history_window": (
                 resolved.history_window
                 if resolved is not None and resolved.history_window is not None
@@ -125,3 +136,20 @@ def campaign(
         }
     )
     return result
+
+
+def _rounds_ran(result: CampaignResult) -> Optional[str]:
+    """The rounds mode the campaign's negotiations ran, from per-day metadata.
+
+    Days on the object backend carry no ``rounds_mode`` and ran object
+    rounds.  ``"mixed"`` when days differ (a fast-path day fell back to
+    object rounds); ``None`` when no day negotiated.
+    """
+    modes = {
+        day.metadata.get("rounds_mode", "object")
+        for day in result.days
+        if day.outcome is not None and day.outcome.negotiation is not None
+    }
+    if not modes:
+        return None
+    return modes.pop() if len(modes) == 1 else "mixed"

@@ -27,6 +27,8 @@ from typing import Optional
 
 from repro.agents.sharded import default_shard_count
 from repro.core.modes import (
+    DEFAULT_MATERIALISE_MODE,
+    DEFAULT_ROUNDS_MODE,
     validate_history_window,
     validate_materialise_mode,
     validate_planning_mode,
@@ -64,8 +66,8 @@ class EngineConfig:
         The batched backends never materialise messages; for them this
         controls the analogous per-round *bid* retention on the negotiation
         record — set it ``False`` for huge campaign runs that only read the
-        accounting rows (at 100k households the retained bids dominate
-        campaign memory).
+        accounting rows (array rounds keep one bid column per round, object
+        rounds one ``Bid`` object per customer per round).
     include_producer:
         Add the Producer Agent to the society (object path only).
     include_external_world:
@@ -90,25 +92,27 @@ class EngineConfig:
         negotiations, whose scenario is already built.
     materialise:
         How campaign runs hand each planned day over to the negotiation:
-        ``"eager"`` (default, the equivalence oracle) builds the
-        per-household ``CustomerSpec`` objects and dict reward tables;
-        ``"lazy"`` feeds the negotiation kernels straight from the columnar
-        planning arrays and materialises nothing per household.  Both
-        produce bit-identical campaign rows; lazy applies on the columnar
-        planning path (the scalar oracle always materialises).  Ignored by
-        single negotiations.
+        ``"lazy"`` (default) feeds the negotiation kernels straight from the
+        columnar planning arrays and materialises nothing per household;
+        ``"eager"`` (the equivalence oracle) builds the per-household
+        ``CustomerSpec`` objects and dict reward tables.  Both produce
+        bit-identical campaign rows; lazy applies on the columnar planning
+        path (the scalar oracle always materialises).  Ignored by single
+        negotiations.
     rounds:
-        Round-evaluation mode of the negotiation fast path: ``"object"``
-        (default, the equivalence oracle) builds per-round ``Bid`` objects
-        and dict round tables; ``"array"`` evaluates each round directly on
-        the numpy state arrays the kernels already compute — zero per-round
-        object construction, which is what makes 1M-household negotiations
-        tractable.  Both produce bit-identical results; scenarios the array
-        path cannot take (non-stock method or acceptance/bidding policy)
-        fall back to object rounds, and the effective mode is recorded in
-        ``NegotiationResult.metadata["rounds_mode"]``.  Array rounds never
-        retain per-round bids on the record (there are no bid objects to
-        retain).  Ignored by the object backend.
+        Round-evaluation mode of the negotiation fast path: ``"array"``
+        (default) evaluates each round directly on the numpy state arrays
+        the kernels already compute — zero per-round object construction,
+        which is what makes 1M-household negotiations tractable;
+        ``"object"`` (the equivalence oracle) builds per-round ``Bid``
+        objects and dict round tables.  Both produce bit-identical results,
+        round bid tables included: array rounds retain each round's bid
+        column and hand it out as a lazy mapping that equals the object
+        round's dict.  Scenarios the array path cannot take (non-stock
+        method or acceptance/bidding policy) fall back to object rounds,
+        and the effective mode is recorded in
+        ``NegotiationResult.metadata["rounds_mode"]``.  Ignored by the
+        object backend.
     history_window:
         Observation window (days) of the campaign planner's consumption
         predictor.  ``None`` (default) leaves the planner's own predictor
@@ -139,8 +143,8 @@ class EngineConfig:
     shards: Optional[int] = None
     shard_threshold: int = DEFAULT_SHARD_THRESHOLD
     planning: str = "columnar"
-    materialise: str = "eager"
-    rounds: str = "object"
+    materialise: str = DEFAULT_MATERIALISE_MODE
+    rounds: str = DEFAULT_ROUNDS_MODE
     history_window: Optional[int] = None
     fault_plan: Optional[FaultPlan] = None
 

@@ -29,12 +29,12 @@ core only: no producer agent, no external world, no resource consumers.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
 from repro.agents.vectorized import VectorizedPopulation
-from repro.core.modes import validate_rounds_mode
+from repro.core.modes import DEFAULT_ROUNDS_MODE, validate_rounds_mode
 from repro.core.results import ColumnarOutcomes, CustomerOutcome, NegotiationResult
 from repro.core.scenario import Scenario
 from repro.negotiation.messages import Award, Bid, CutdownBid, OfferResponse, QuantityBid
@@ -43,6 +43,7 @@ from repro.negotiation.methods.offer import OfferMethod
 from repro.negotiation.methods.request_for_bids import RequestForBidsMethod
 from repro.negotiation.methods.reward_tables import RewardTablesMethod
 from repro.negotiation.protocol import (
+    ColumnarBids,
     MonotonicConcessionProtocol,
     NegotiationRecord,
     RoundRecord,
@@ -72,18 +73,19 @@ class FastSession:
         check_protocol: bool = True,
         retain_round_bids: bool = True,
         fault_plan: Optional[FaultPlan] = None,
-        rounds: str = "object",
+        rounds: str = DEFAULT_ROUNDS_MODE,
     ) -> None:
         self.scenario = scenario
         self.seed = seed
         self.max_simulation_rounds = max_simulation_rounds
         self.check_protocol = check_protocol
         self.fault_plan = fault_plan
-        #: Round execution mode.  ``"object"`` materialises every round's bid
-        #: objects (the reference semantics); ``"array"`` keeps a round's bids
-        #: as the numpy state arrays the kernels already compute and runs the
-        #: utility side through the methods' array contracts — bit-identical
-        #: results with zero per-round ``Bid`` construction.  The session
+        #: Round execution mode.  ``"array"`` (the default) keeps a round's
+        #: bids as the numpy state arrays the kernels already compute and runs
+        #: the utility side through the methods' array contracts;
+        #: ``"object"`` materialises every round's bid objects (the reference
+        #: semantics).  Both give bit-identical results, and array rounds
+        #: construct no per-round ``Bid`` objects.  The session
         #: falls back to object rounds (recorded in
         #: ``result.metadata["rounds_mode"]``) when the method, its policies
         #: or the population cannot honour the array contract.
@@ -97,9 +99,9 @@ class FastSession:
         )
         #: Per customer, whether any round was evaluated without their bid.
         self._degraded_ever: Optional[np.ndarray] = None
-        #: Whether each RoundRecord keeps its per-customer bid objects.  The
-        #: vectorized counterpart of the bus's log retention: at 100k
-        #: households a round's bids are ~100k objects, and a multi-week
+        #: Whether each RoundRecord keeps its per-customer bids (objects on
+        #: object rounds, a copied bid column on array rounds).  The
+        #: vectorized counterpart of the bus's log retention: a multi-week
         #: campaign that only reads the accounting rows never looks at them.
         #: Overuse bookkeeping, awards and outcomes are unaffected.
         self.retain_round_bids = retain_round_bids
@@ -613,14 +615,37 @@ class FastSession:
 
     # -- array rounds ---------------------------------------------------------------
 
-    def _array_bid_state(self) -> np.ndarray:
-        """The numpy column holding this round's bids, by method."""
+    def _array_bid_state(self) -> tuple[np.ndarray, type]:
+        """The numpy column holding this round's bids and the bid type it encodes."""
         method = self.scenario.method
         if isinstance(method, RewardTablesMethod):
-            return self._state["cutdowns"]
+            return self._state["cutdowns"], CutdownBid
         if isinstance(method, OfferMethod):
-            return self._state["accepts"]
-        return self._state["needs"]
+            return self._state["accepts"], OfferResponse
+        return self._state["needs"], QuantityBid
+
+    def _retained_bids(
+        self,
+        announcement,
+        bid_state: np.ndarray,
+        bid_type: type,
+        undelivered: Optional[np.ndarray],
+    ) -> Mapping[str, Bid]:
+        """The round's delivered bids as a lazy view over copied columns.
+
+        Empty when bid retention is off.  The copies decouple the record from
+        the session's live bid state, so the view reads the same values
+        however the kernels reuse arrays.
+        """
+        if not self.retain_round_bids:
+            return {}
+        return ColumnarBids(
+            customer_ids=self.population.customer_ids,
+            round_number=announcement.round_number,
+            bid_type=bid_type,
+            column=bid_state.copy(),
+            undelivered=undelivered.copy() if undelivered is not None else None,
+        )
 
     def _check_concession_arrays(self, undelivered: Optional[np.ndarray]) -> None:
         """Array sibling of :meth:`_check_bid_concession`.
@@ -659,9 +684,9 @@ class FastSession:
 
         Same order of operations — concession check, round evaluation, round
         record, finish-or-announce — with the round's bids living only as the
-        numpy state arrays.  The round record keeps an empty bid table (array
-        rounds never materialise ``Bid`` objects, so there is nothing to
-        retain); overuse bookkeeping is unaffected.
+        numpy state arrays.  With bid retention on, the round record keeps a
+        :class:`~repro.negotiation.protocol.ColumnarBids` view that equals the
+        object round's bid dict; no ``Bid`` is built unless it is read.
         """
         context = self._context
         method = self.scenario.method
@@ -671,7 +696,7 @@ class FastSession:
         state = self._state
         undelivered = self._undelivered
         self._check_concession_arrays(undelivered)
-        bid_state = self._array_bid_state()
+        bid_state, bid_type = self._array_bid_state()
         evaluation = method.evaluate_round_arrays(
             context, announcement, self.population, bid_state, undelivered, round_number
         )
@@ -679,7 +704,9 @@ class FastSession:
             RoundRecord(
                 round_number=round_number,
                 announcement=announcement,
-                bids={},
+                bids=self._retained_bids(
+                    announcement, bid_state, bid_type, undelivered
+                ),
                 predicted_overuse_before=(
                     context.initial_overuse
                     if round_number == 0

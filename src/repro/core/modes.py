@@ -38,6 +38,14 @@ MATERIALISE_MODES: tuple[str, ...] = ("eager", "lazy")
 #: and record the effective mode in the result metadata.
 ROUNDS_MODES: tuple[str, ...] = ("object", "array")
 
+#: The defaults every layer takes when the caller names no mode: the fast
+#: path.  :class:`~repro.api.config.EngineConfig`, the planner, the population
+#: constructors and the fast sessions all reference these two names, so no
+#: two layers can default differently.  ``"object"`` rounds and ``"eager"``
+#: hand-off stay reachable by name as the equivalence oracles.
+DEFAULT_ROUNDS_MODE: str = "array"
+DEFAULT_MATERIALISE_MODE: str = "lazy"
+
 
 def validate_planning_mode(planning: str) -> str:
     """Return ``planning`` or raise a :class:`ValueError` naming the options."""

@@ -36,6 +36,7 @@ from repro.agents.population import CustomerPopulation, CustomerSpec
 from repro.agents.preferences import CustomerPreferenceModel
 from repro.core.checkpoint import CHECKPOINT_VERSION, CampaignCheckpoint
 from repro.core.modes import (
+    DEFAULT_MATERIALISE_MODE,
     MATERIALISE_MODES,
     PLANNING_MODES,
     validate_history_window,
@@ -91,10 +92,10 @@ class DayAheadPlanner:
         produce bit-identical scenarios; fleet-incompatible household sets
         fall back to scalar automatically.
     materialise:
-        Default planning → negotiation hand-off: ``"eager"`` (per-household
-        spec objects, the default and the equivalence oracle) or ``"lazy"``
-        (columnar arrays only, nothing materialised per household).  Both
-        run bit-identical campaigns; lazy applies on the columnar path.
+        Default planning → negotiation hand-off: ``"lazy"`` (the default;
+        columnar arrays only, nothing materialised per household) or
+        ``"eager"`` (per-household spec objects, the equivalence oracle).
+        Both run bit-identical campaigns; lazy applies on the columnar path.
     history_window:
         Observation window (days) for the *default* predictor: ``None``
         keeps the full history, a positive value bounds predictor memory to
@@ -114,7 +115,7 @@ class DayAheadPlanner:
         max_allowed_overuse_fraction: float = 0.02,
         random: Optional[RandomSource] = None,
         planning: str = "columnar",
-        materialise: str = "eager",
+        materialise: str = DEFAULT_MATERIALISE_MODE,
         history_window: Optional[int] = None,
     ) -> None:
         if not households:
@@ -268,7 +269,7 @@ class DayAheadPlanner:
         prediction: FleetPrediction,
         interval: TimeInterval,
         forecast: WeatherSample,
-        materialise: str = "eager",
+        materialise: str = DEFAULT_MATERIALISE_MODE,
     ) -> CustomerPopulation:
         """The fleet path: batched kernels, no per-household loop."""
         fleet = self.fleet

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.agents.sharded import ShardedPopulation, default_shard_count
 from repro.core.fast_session import FastSession
-from repro.core.modes import validate_shard_count
+from repro.core.modes import DEFAULT_ROUNDS_MODE, validate_shard_count
 from repro.core.results import NegotiationResult
 from repro.core.scenario import Scenario
 from repro.runtime.faults import FaultPlan
@@ -68,7 +68,7 @@ class ShardedSession(FastSession):
         retain_round_bids: bool = True,
         shards: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
-        rounds: str = "object",
+        rounds: str = DEFAULT_ROUNDS_MODE,
     ) -> None:
         super().__init__(
             scenario,

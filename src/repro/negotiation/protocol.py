@@ -16,11 +16,21 @@ analysis layer and the property-based tests use to verify convergence.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Iterator, Optional, Sequence
 
-from repro.negotiation.messages import Announcement, Bid, CutdownBid, RewardTableAnnouncement
+import numpy as np
+
+from repro.negotiation.messages import (
+    Announcement,
+    Bid,
+    CutdownBid,
+    OfferResponse,
+    QuantityBid,
+    RewardTableAnnouncement,
+)
 from repro.negotiation.termination import TerminationReason
 
 
@@ -37,13 +47,109 @@ class NegotiationOutcome(Enum):
     ONGOING = "ongoing"
 
 
+#: The bid field each stock bid type carries, and its Python scalar type.
+_BID_FIELDS: dict[type, tuple[str, type]] = {
+    CutdownBid: ("cutdown", float),
+    OfferResponse: ("accept", bool),
+    QuantityBid: ("needed_use", float),
+}
+
+
+class ColumnarBids(Mapping):
+    """One round's delivered bids stored as a column, materialised lazily.
+
+    Array rounds keep a round's bids as the numpy column the kernels computed
+    (cut-downs, offer acceptances or needed uses) plus the round's
+    undelivered mask.  This view behaves like the object round's
+    ``dict[str, Bid]``: it holds the delivered customers in population order,
+    supports lookups, iteration and ``items()``/``values()``/``get()``, and
+    compares equal to a plain dict with the same bids.  Each
+    :class:`CutdownBid`, :class:`OfferResponse` or :class:`QuantityBid` is
+    built only when it is touched.
+    """
+
+    __slots__ = (
+        "customer_ids", "round_number", "bid_type", "column", "undelivered", "_index",
+    )
+
+    def __init__(
+        self,
+        customer_ids: Sequence[str],
+        round_number: int,
+        bid_type: type,
+        column: np.ndarray,
+        undelivered: Optional[np.ndarray] = None,
+    ) -> None:
+        if bid_type not in _BID_FIELDS:
+            raise ValueError(f"no columnar form for bid type {bid_type.__name__}")
+        for array in (column, undelivered):
+            if array is not None and len(array) != len(customer_ids):
+                raise ValueError(
+                    f"column length {len(array)} does not match "
+                    f"{len(customer_ids)} customers"
+                )
+        self.customer_ids = customer_ids
+        self.round_number = round_number
+        self.bid_type = bid_type
+        #: The round's bid values by row (population order).
+        self.column = column
+        #: Rows whose bid never reached the Utility Agent; ``None`` when every
+        #: bid was delivered.  Undelivered rows are not part of the mapping.
+        self.undelivered = undelivered
+        self._index: Optional[dict[str, int]] = None
+
+    def _customer_index(self) -> dict[str, int]:
+        """Delivered customer → row, in population order (built once)."""
+        if self._index is None:
+            ids = self.customer_ids
+            if self.undelivered is None:
+                self._index = {customer: row for row, customer in enumerate(ids)}
+            else:
+                rows = np.flatnonzero(~self.undelivered).tolist()
+                self._index = {ids[row]: row for row in rows}
+        return self._index
+
+    def bid_at(self, row: int) -> Bid:
+        """Materialise the bid of the customer at one array position."""
+        name, scalar = _BID_FIELDS[self.bid_type]
+        return self.bid_type(
+            customer=self.customer_ids[row],
+            round_number=self.round_number,
+            **{name: scalar(self.column[row])},
+        )
+
+    def __getitem__(self, customer: str) -> Bid:
+        try:
+            row = self._customer_index()[customer]
+        except KeyError:
+            raise KeyError(customer) from None
+        return self.bid_at(row)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._customer_index())
+
+    def __len__(self) -> int:
+        if self.undelivered is None:
+            return len(self.customer_ids)
+        return len(self.customer_ids) - int(np.count_nonzero(self.undelivered))
+
+    def __contains__(self, customer: object) -> bool:
+        return customer in self._customer_index()
+
+    def __repr__(self) -> str:
+        return f"ColumnarBids({len(self)} {self.bid_type.__name__} bids)"
+
+
 @dataclass
 class RoundRecord:
     """Everything that happened in one negotiation round."""
 
     round_number: int
     announcement: Announcement
-    bids: dict[str, Bid] = field(default_factory=dict)
+    #: The delivered bids by customer: an eager ``dict`` on object rounds, a
+    #: lazy :class:`ColumnarBids` view on array rounds.  Both honour the same
+    #: mapping API and compare equal when their contents do.
+    bids: Mapping[str, Bid] = field(default_factory=dict)
     predicted_overuse_before: float = 0.0
     predicted_overuse_after: float = 0.0
 

@@ -452,27 +452,25 @@ class MessageBus:
         another thread uses this instead of racing
         :meth:`message_count` / :meth:`messages_by_performative`.
 
-        The spin is bounded; if the writer outruns the reader for the whole
-        budget (pathological), the last copy is returned as a best effort —
-        under CPython's GIL each retry still sees a *memory-safe* copy, it
-        just may mix two updates.
+        Only a verified copy is ever returned.  When a read is torn — the
+        version is odd, or moved during the copy — the reader yields the GIL
+        before retrying: a writer descheduled mid-update can only finish it
+        once it runs again, and spinning without yielding could burn the
+        reader's whole switch interval without letting it.
         """
-        total = self._total_sent
-        counts = dict(self._performative_counts)
-        for _ in range(1000):
+        while True:
             before = self._counters_version
-            if before & 1:
-                continue
-            try:
-                total = self._total_sent
-                counts = dict(self._performative_counts)
-            except RuntimeError:
-                # The histogram resized mid-copy; the version check below
-                # would reject this read anyway.
-                continue
-            if self._counters_version == before:
-                return total, counts
-        return total, counts
+            if not before & 1:
+                try:
+                    total = self._total_sent
+                    counts = dict(self._performative_counts)
+                except RuntimeError:
+                    # The histogram resized mid-copy; the version moved too.
+                    pass
+                else:
+                    if self._counters_version == before:
+                        return total, counts
+            time.sleep(0)
 
     def conversation(self, conversation_id: str) -> list[Message]:
         """All *retained* messages belonging to one conversation, in send order."""

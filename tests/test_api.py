@@ -483,7 +483,8 @@ class TestDeprecationShims:
 class TestScenarioBuilder:
     def test_synthetic_round_trip_matches_manual_construction(self):
         built = scenario().households(12).seed(3).build()
-        manual = synthetic_scenario(num_households=12, seed=3)
+        # The scalar planning path always materialises eagerly: the oracle.
+        manual = synthetic_scenario(num_households=12, seed=3, planning="scalar")
         assert built.name == manual.name
         assert built.population.customer_ids == manual.population.customer_ids
         assert built.population.normal_use == manual.population.normal_use
@@ -555,17 +556,26 @@ class TestAutoEquivalence:
 
     @pytest.mark.parametrize("make_method", _method_variants())
     def test_auto_matches_explicit_backends(self, make_method):
-        def make():
-            return synthetic_scenario(num_households=10, seed=1, method=make_method())
+        def make(planning="columnar"):
+            return synthetic_scenario(
+                num_households=10, seed=1, method=make_method(), planning=planning
+            )
 
         auto = run(make(), seed=0)
         vectorized = run(make(), backend="vectorized", seed=0)
         sharded = run(make(), backend="sharded", seed=0, shards=2)
-        objectpath = run(make(), backend="object", seed=0)
+        # The oracles are pinned by name: the object backend on a scenario
+        # built by the scalar (always eager) planning path, and the fast
+        # path's object rounds.
+        objectpath = run(make("scalar"), backend="object", seed=0)
+        object_rounds = run(make("scalar"), backend="vectorized", seed=0, rounds="object")
         assert auto.metadata["backend"] == "vectorized"
+        assert auto.metadata["rounds_mode"] == "array"
+        assert object_rounds.metadata["rounds_mode"] == "object"
         assert_equivalent(objectpath, auto)
         assert_equivalent(objectpath, vectorized)
         assert_equivalent(objectpath, sharded)
+        assert_equivalent(objectpath, object_rounds)
 
     @pytest.mark.tier2
     @pytest.mark.parametrize("num_households", [40, 120])
@@ -574,30 +584,37 @@ class TestAutoEquivalence:
     def test_auto_matches_explicit_backends_matrix(
         self, num_households, seed, make_method
     ):
-        def make():
+        def make(planning="columnar"):
             return synthetic_scenario(
-                num_households=num_households, seed=seed, method=make_method()
+                num_households=num_households, seed=seed, method=make_method(),
+                planning=planning,
             )
 
         auto = run(make(), seed=seed)
         vectorized = run(make(), backend="vectorized", seed=seed)
         sharded = run(make(), backend="sharded", seed=seed, shards=4)
-        objectpath = run(make(), backend="object", seed=seed)
+        objectpath = run(make("scalar"), backend="object", seed=seed)
+        object_rounds = run(
+            make("scalar"), backend="vectorized", seed=seed, rounds="object"
+        )
         assert auto.metadata["backend"] == "vectorized"
         assert_equivalent(objectpath, auto)
         assert_equivalent(objectpath, vectorized)
         assert_equivalent(objectpath, sharded)
+        assert_equivalent(objectpath, object_rounds)
 
     @pytest.mark.tier2
     @pytest.mark.parametrize("make_method", _method_variants())
     def test_auto_selected_sharded_matches_object_path(self, make_method):
         # Force auto past the shard threshold so the selected-and-recorded
         # backend really is "sharded", then pin the equivalence contract.
-        def make():
-            return synthetic_scenario(num_households=64, seed=3, method=make_method())
+        def make(planning="columnar"):
+            return synthetic_scenario(
+                num_households=64, seed=3, method=make_method(), planning=planning
+            )
 
         auto = run(make(), seed=0, shards=2, shard_threshold=32)
-        objectpath = run(make(), backend="object", seed=0)
+        objectpath = run(make("scalar"), backend="object", seed=0)
         assert auto.metadata["backend"] == "sharded"
         assert auto.metadata["shards"] == 2
         assert_equivalent(objectpath, auto)

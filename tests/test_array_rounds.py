@@ -10,7 +10,10 @@ termination, same per-customer outcomes and the same fault semantics under a
 nonzero :class:`~repro.runtime.faults.FaultPlan`.  These tests pin that
 contract across the three stock methods, both stock bidding policies, chaos
 plans, the sharded runtime and the engine façade, plus the lazy-view ≡
-eager-dict property and the "zero ``Bid`` allocations" perf invariant.
+eager-dict property of the outcome and round-bid views and the "zero ``Bid``
+allocations" perf invariant.  Array rounds and lazy hand-off are the
+defaults at every entry point, so the default-path tests at the end pin the
+defaults against explicitly requested oracles.
 """
 
 from __future__ import annotations
@@ -20,14 +23,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import EngineConfig, run
+from repro.api import EngineConfig, campaign, run
 from repro.core.fast_session import FastSession
 from repro.core.results import ColumnarOutcomes, CustomerOutcome
 from repro.core.scenario import paper_prototype_scenario, synthetic_scenario
 from repro.core.sharded_session import ShardedSession
+from repro.experiments.campaign_bench import build_campaign_planner
+from repro.grid.weather import WeatherCondition
+from repro.negotiation.messages import CutdownBid, OfferResponse, QuantityBid
 from repro.negotiation.methods.offer import OfferMethod
 from repro.negotiation.methods.request_for_bids import RequestForBidsMethod
 from repro.negotiation.methods.reward_tables import RewardTablesMethod
+from repro.negotiation.protocol import ColumnarBids
 from repro.negotiation.strategy import (
     ConstantBeta,
     ExpectedGainBidding,
@@ -58,12 +65,12 @@ CHAOS_PLAN = FaultPlan(
 
 
 def assert_array_equivalent(object_result, array_result) -> None:
-    """Field-by-field equality, modulo the round bid tables.
+    """Field-by-field equality, round bid tables included.
 
-    Array rounds never retain per-round ``Bid`` objects (``record.rounds[i]
-    .bids`` is empty by design), so the comparison covers everything else:
-    announcements, the overuse trajectory, counters, termination, rewards
-    and the full per-customer outcome mapping.
+    Covers announcements, each round's delivered bids (a lazy
+    :class:`ColumnarBids` view on array rounds against the object round's
+    dict), the overuse trajectory, counters, termination, rewards and the
+    full per-customer outcome mapping.
     """
     assert array_result.metadata["rounds_mode"] == "array"
     assert object_result.metadata["rounds_mode"] == "object"
@@ -86,7 +93,7 @@ def assert_array_equivalent(object_result, array_result) -> None:
         object_result.record.rounds, array_result.record.rounds
     ):
         assert array_round.announcement == object_round.announcement
-        assert array_round.bids == {}
+        assert array_round.bids == object_round.bids
         assert (
             array_round.predicted_overuse_before
             == object_round.predicted_overuse_before
@@ -159,7 +166,7 @@ class TestArrayObjectEquivalence:
         requested = FastSession(make(), seed=0, rounds="array")
         requested_result = requested.run()
         assert requested_result.metadata["rounds_mode"] == "object"
-        baseline_result = FastSession(make(), seed=0).run()
+        baseline_result = FastSession(make(), seed=0, rounds="object").run()
         assert requested_result.customer_outcomes == baseline_result.customer_outcomes
         assert requested_result.total_reward_paid == baseline_result.total_reward_paid
 
@@ -208,7 +215,7 @@ class TestShardedArrayRounds:
         def make():
             return synthetic_scenario(num_households=64, seed=6)
 
-        object_result = FastSession(make(), seed=0).run()
+        object_result = FastSession(make(), seed=0, rounds="object").run()
         sharded = ShardedSession(make(), seed=0, shards=4, rounds="array")
         array_result = sharded.run()
         assert sharded.num_shards == 4
@@ -230,6 +237,164 @@ class TestShardedArrayRounds:
         sharded_result = sharded.run()
         assert sharded_result.customer_outcomes == solo_result.customer_outcomes
         assert sharded_result.degraded_households == solo_result.degraded_households
+
+
+# -- round bid tables and the defaults ----------------------------------------------
+
+
+class TestArrayRoundBidView:
+    """Array rounds retain their bids as a lazy view equal to the object dict."""
+
+    @pytest.mark.parametrize("method_name", sorted(METHOD_FACTORIES))
+    @pytest.mark.parametrize("fault_plan", [None, CHAOS_PLAN], ids=["clean", "chaos"])
+    def test_view_equals_object_bids(self, method_name, fault_plan):
+        factory = METHOD_FACTORIES[method_name]
+
+        def make():
+            return synthetic_scenario(num_households=40, seed=9, method=factory())
+
+        object_result, array_result = run_both_modes(make, fault_plan=fault_plan)
+        assert array_result.metadata["rounds_mode"] == "array"
+        assert len(array_result.record.rounds) == len(object_result.record.rounds)
+        for object_round, array_round in zip(
+            object_result.record.rounds, array_result.record.rounds
+        ):
+            assert isinstance(array_round.bids, ColumnarBids)
+            assert array_round == object_round
+            assert list(array_round.bids) == list(object_round.bids)
+            assert list(array_round.bids.values()) == list(object_round.bids.values())
+            assert array_round.participation == object_round.participation
+        assert array_result.record.final_bids() == object_result.record.final_bids()
+        for customer in object_result.customer_outcomes:
+            assert array_result.customer_bid_trajectory(
+                customer
+            ) == object_result.customer_bid_trajectory(customer)
+
+    def test_chaos_view_drops_undelivered_rows(self):
+        # The chaos equivalence above is only meaningful if some round really
+        # lost bids: pin that the view then holds fewer rows than customers.
+        def make():
+            return synthetic_scenario(num_households=40, seed=9)
+
+        object_result, array_result = run_both_modes(make, fault_plan=CHAOS_PLAN)
+        short_rounds = [
+            (object_round, array_round)
+            for object_round, array_round in zip(
+                object_result.record.rounds, array_result.record.rounds
+            )
+            if len(array_round.bids) < 40
+        ]
+        assert short_rounds
+        for object_round, array_round in short_rounds:
+            missing = set(array_round.bids.customer_ids) - set(array_round.bids)
+            assert missing
+            for customer in missing:
+                assert customer not in object_round.bids
+                assert customer not in array_round.bids
+                assert array_round.bids.get(customer) is None
+            assert dict(array_round.bids) == object_round.bids
+
+    @pytest.mark.parametrize("rounds", ["object", "array"])
+    def test_no_retention_keeps_no_bids(self, rounds):
+        scenario = synthetic_scenario(num_households=30, seed=5)
+        result = run(
+            scenario,
+            backend="vectorized",
+            config=EngineConfig(rounds=rounds, retain_message_log=False),
+        )
+        assert result.metadata["rounds_mode"] == rounds
+        assert result.rounds > 0
+        assert all(round_record.bids == {} for round_record in result.record.rounds)
+        assert result.record.final_bids() == {}
+
+    def test_default_run_reproduces_figure_8_9_bids(self):
+        result = run(paper_prototype_scenario())
+        assert result.metadata["rounds_mode"] == "array"
+        assert result.customer_bid_trajectory("c000") == [0.2, 0.4, 0.4]
+        oracle = run(paper_prototype_scenario(), config=EngineConfig(rounds="object"))
+        assert oracle.metadata["rounds_mode"] == "object"
+        assert result.record.rounds == oracle.record.rounds
+        assert result.customer_outcomes == oracle.customer_outcomes
+
+    def test_default_campaign_rows_match_object_eager_oracle(self):
+        conditions = (
+            WeatherCondition.MILD, WeatherCondition.SEVERE_COLD, WeatherCondition.COLD
+        )
+
+        def run_campaign(config):
+            return campaign(
+                build_campaign_planner(300, seed=7), 6, conditions=conditions,
+                config=config, warmup_days=2, seed=7,
+            )
+
+        default = run_campaign(None)
+        oracle = run_campaign(EngineConfig(rounds="object", materialise="eager"))
+        assert default.days_negotiated >= 1
+        assert default.rows() == oracle.rows()
+        assert default.metadata["rounds"] == "array"
+        assert default.metadata["materialise"] == "lazy"
+        assert oracle.metadata["rounds"] == "object"
+        assert oracle.metadata["materialise"] == "eager"
+
+
+BID_TYPES = {
+    CutdownBid: ("cutdown", st.floats(min_value=0.0, max_value=1.0, allow_nan=False)),
+    OfferResponse: ("accept", st.booleans()),
+    QuantityBid: ("needed_use", st.floats(min_value=0.0, max_value=50.0, allow_nan=False)),
+}
+
+bid_columns = st.tuples(
+    st.sampled_from(sorted(BID_TYPES, key=lambda bid_type: bid_type.__name__)),
+    st.integers(min_value=0, max_value=12),
+).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind[0]),
+        st.lists(BID_TYPES[kind[0]][1], min_size=kind[1], max_size=kind[1]),
+        st.one_of(
+            st.none(), st.lists(st.booleans(), min_size=kind[1], max_size=kind[1])
+        ),
+        st.integers(min_value=0, max_value=20),
+    )
+)
+
+
+class TestColumnarBidsView:
+    @given(columns=bid_columns)
+    @settings(max_examples=60)
+    def test_view_equals_eager_dict(self, columns):
+        bid_type, values, lost, round_number = columns
+        field_name = BID_TYPES[bid_type][0]
+        ids = [f"c{i}" for i in range(len(values))]
+        view = ColumnarBids(
+            customer_ids=ids,
+            round_number=round_number,
+            bid_type=bid_type,
+            column=np.asarray(values),
+            undelivered=np.asarray(lost, dtype=bool) if lost is not None else None,
+        )
+        eager = {
+            customer: bid_type(
+                customer=customer, round_number=round_number, **{field_name: value}
+            )
+            for index, (customer, value) in enumerate(zip(ids, values))
+            if lost is None or not lost[index]
+        }
+        assert len(view) == len(eager)
+        assert list(view) == list(eager)
+        assert view == eager
+        assert eager == view
+        assert list(view.values()) == list(eager.values())
+        for customer in ids:
+            assert (customer in view) == (customer in eager)
+            assert view.get(customer) == eager.get(customer)
+        with pytest.raises(KeyError):
+            view["nobody"]
+
+    def test_column_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="column length"):
+            ColumnarBids(["a", "b"], 0, CutdownBid, np.zeros(3))
+        with pytest.raises(ValueError, match="column length"):
+            ColumnarBids(["a", "b"], 0, CutdownBid, np.zeros(2), np.zeros(1, dtype=bool))
 
 
 # -- the lazy columnar view ---------------------------------------------------------
@@ -342,7 +507,7 @@ class TestArrayRoundsAllocateNoBids:
         def make():
             return synthetic_scenario(num_households=50, seed=4, method=factory())
 
-        object_result = FastSession(make(), seed=0).run()
+        object_result = FastSession(make(), seed=0, rounds="object").run()
         object_constructions = constructions["count"]
         assert object_constructions > 0  # the oracle pays per-round objects
         constructions["count"] = 0

@@ -45,13 +45,19 @@ def run_small_campaign(backend: str, planning: str = "columnar", **config_fields
 
 class TestCampaignBackendDeterminism:
     def test_rows_identical_across_backends(self):
-        reference = run_small_campaign("object")
+        # The oracle is pinned by name (object backend, eager hand-off), so
+        # it stays the oracle whatever the defaults are.
+        reference = run_small_campaign("object", materialise="eager")
         assert reference.days_negotiated >= 1
         for backend in ("vectorized", "auto"):
             other = run_small_campaign(backend)
             assert other.rows() == reference.rows(), (
                 f"backend {backend!r} diverged from the object path"
             )
+        object_rounds = run_small_campaign(
+            "vectorized", materialise="eager", rounds="object"
+        )
+        assert object_rounds.rows() == reference.rows()
         # The sharded runtime joins the matrix at campaign level: explicitly
         # requested (ignoring the threshold) …
         sharded = run_small_campaign("sharded", shards=2)
@@ -251,9 +257,22 @@ class TestLazyMaterialisationEquivalence:
         result = run_small_campaign("auto", materialise="lazy", history_window=5)
         assert result.metadata["materialise"] == "lazy"
         assert result.metadata["history_window"] == 5
+        oracle = run_small_campaign("auto", materialise="eager", rounds="object")
+        assert oracle.metadata["materialise"] == "eager"
+        assert oracle.metadata["rounds"] == "object"
         default = run_small_campaign("auto")
-        assert default.metadata["materialise"] == "eager"
+        assert default.metadata["materialise"] == "lazy"
+        assert default.metadata["rounds"] == "array"
         assert default.metadata["history_window"] is None
+        assert default.rows() == oracle.rows()
+        # The scalar planning path always materialises, whatever was asked.
+        scalar = run_small_campaign("auto", planning="scalar")
+        assert scalar.metadata["materialise"] == "eager"
+
+    def test_campaign_metadata_records_the_rounds_that_ran(self):
+        # The object backend runs object rounds whatever ``rounds`` says.
+        on_object = run_small_campaign("object", rounds="array")
+        assert on_object.metadata["rounds"] == "object"
 
 
 class TestColumnarAccountingGuards:
@@ -332,7 +351,7 @@ class TestCampaignBackendMatrixAtScale:
         )
 
     def test_campaign_rows_identical_across_all_backends(self):
-        reference = self.run_matrix_campaign("object")
+        reference = self.run_matrix_campaign("object", materialise="eager")
         assert reference.days_negotiated >= 1
         explicit_sharded = self.run_matrix_campaign("sharded", shards=4)
         assert explicit_sharded.rows() == reference.rows()
@@ -345,6 +364,7 @@ class TestCampaignBackendMatrixAtScale:
         )
         for backend, fields in (
             ("vectorized", {}),
+            ("vectorized", {"rounds": "object", "materialise": "eager"}),
             ("auto", {"shards": 4, "shard_threshold": 801}),
         ):
             result = self.run_matrix_campaign(backend, **fields)

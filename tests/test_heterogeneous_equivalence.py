@@ -52,12 +52,15 @@ METHOD_FACTORIES = {
 }
 
 
-def make_planned_scenario(method_name: str = "reward_tables") -> Scenario:
+def make_planned_scenario(
+    method_name: str = "reward_tables", materialise: str = "lazy"
+) -> Scenario:
     """Plan a peak day for the mixed population, deterministically.
 
     Everything is seeded, so repeated calls build bit-identical scenarios —
     each backend run gets its own independent Scenario instance, exactly as
-    the fast-session equivalence tests do.
+    the fast-session equivalence tests do.  References pass
+    ``materialise="eager"`` so the oracle side never rides the lazy hand-off.
     """
     households = make_mixed_households()
     random = RandomSource(31, "hetero_equiv")
@@ -68,7 +71,9 @@ def make_planned_scenario(method_name: str = "reward_tables") -> Scenario:
     assert planner.planning_fallback is None
     for __ in range(3):
         planner.observe_day(MILD)
-    scenario = planner.plan(COLD_FORECAST, method=METHOD_FACTORIES[method_name]())
+    scenario = planner.plan(
+        COLD_FORECAST, method=METHOD_FACTORIES[method_name](), materialise=materialise
+    )
     assert scenario is not None, "the cold forecast must predict a peak"
     return scenario
 
@@ -109,18 +114,22 @@ class TestPlannedMixedPopulation:
 
     @pytest.mark.parametrize("method_name", sorted(METHOD_FACTORIES))
     def test_vectorized_matches_object(self, method_name):
-        reference = run(make_planned_scenario(method_name), backend="object")
+        reference = run(
+            make_planned_scenario(method_name, materialise="eager"), backend="object"
+        )
         result = run(make_planned_scenario(method_name), backend="vectorized")
         assert_equivalent(reference, result)
 
     def test_sharded_matches_object(self):
-        reference = run(make_planned_scenario(), backend="object")
+        reference = run(make_planned_scenario(materialise="eager"), backend="object")
         result = run(make_planned_scenario(), backend="sharded", shards=2)
         assert_equivalent(reference, result)
 
     def test_array_rounds_match_object_rounds(self):
         reference = run(
-            make_planned_scenario(), backend="vectorized", rounds="object"
+            make_planned_scenario(materialise="eager"),
+            backend="vectorized",
+            rounds="object",
         )
         result = run(make_planned_scenario(), backend="vectorized", rounds="array")
         assert_array_equivalent(reference, result)
@@ -130,7 +139,10 @@ class TestPlannedMixedPopulation:
         # path's message-bus faults are mechanically different, so the
         # oracle here is the vectorized session, matched by the sharded one.
         reference = run(
-            make_planned_scenario(), backend="vectorized", fault_plan=CHAOS_PLAN
+            make_planned_scenario(materialise="eager"),
+            backend="vectorized",
+            rounds="object",
+            fault_plan=CHAOS_PLAN,
         )
         sharded = run(
             make_planned_scenario(),
@@ -143,7 +155,7 @@ class TestPlannedMixedPopulation:
 
     def test_chaos_array_rounds_match(self):
         reference = run(
-            make_planned_scenario(),
+            make_planned_scenario(materialise="eager"),
             backend="vectorized",
             rounds="object",
             fault_plan=CHAOS_PLAN,

@@ -37,9 +37,13 @@ from test_fast_session_equivalence import assert_equivalent
 
 
 def run_three_ways(make_scenario, shards: int = 3) -> tuple:
-    """Object, fast and sharded results on independently built scenarios."""
+    """Object, fast and sharded results on independently built scenarios.
+
+    The fast side pins object rounds (the fast path's oracle mode); the
+    sharded side runs the default array rounds.
+    """
     slow_result = NegotiationSession(make_scenario(), seed=0).run()
-    fast_result = FastSession(make_scenario(), seed=0).run()
+    fast_result = FastSession(make_scenario(), seed=0, rounds="object").run()
     sharded_result = ShardedSession(make_scenario(), seed=0, shards=shards).run()
     return slow_result, fast_result, sharded_result
 
@@ -273,7 +277,7 @@ class TestThreeWayEquivalence:
         def make():
             return synthetic_scenario(num_households=num_households, seed=seed)
 
-        fast = FastSession(make(), seed=0).run()
+        fast = FastSession(make(), seed=0, rounds="object").run()
         sharded = ShardedSession(make(), seed=0, shards=4).run()
         assert_equivalent(fast, sharded)
 
