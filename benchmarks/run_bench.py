@@ -187,7 +187,7 @@ def _hetero_backend_gate(label: str, row: dict, failures: list[str]) -> None:
         {
             backend
             for backend in row["backends"]
-            if backend not in ("-", "vectorized", "sharded", "async")
+            if backend not in ("-", "vectorized", "sharded")
         }
     )
     if stray:

@@ -17,7 +17,7 @@ The package is organised in layers:
 * :mod:`repro.core` — scenarios, negotiation sessions and the full
   load-balancing pipeline.
 * :mod:`repro.api` — the engine façade: one ``run()`` entry point over
-  pluggable negotiation backends, plus the fluent scenario builder.
+  the negotiation backends, plus the fluent scenario builder.
 * :mod:`repro.analysis` — metrics, convergence analysis and ASCII plotting.
 * :mod:`repro.experiments` — one module per reproduced figure/experiment.
 
@@ -32,7 +32,6 @@ Quickstart::
 from repro.core import (
     LoadBalancingSystem,
     NegotiationResult,
-    NegotiationSession,
     Scenario,
     SystemResult,
     paper_prototype_scenario,
@@ -47,7 +46,6 @@ __all__ = [
     "EngineConfig",
     "LoadBalancingSystem",
     "NegotiationResult",
-    "NegotiationSession",
     "Scenario",
     "ScenarioBuilder",
     "SystemResult",

@@ -10,20 +10,20 @@ planning campaigns, examples and benchmarks) goes through this façade::
 
 The pieces:
 
-* :func:`run` — dispatches a scenario to a registered backend;
+* :func:`run` — dispatches a scenario to a backend by name;
   ``backend="auto"`` picks the vectorized fast path when the scenario
-  qualifies and falls back to the faithful object path otherwise, recording
-  the choice in ``result.metadata["backend"]``.
+  qualifies and the faithful object path otherwise, recording the choice
+  in ``result.metadata["backend"]``.
 * :func:`campaign` — runs a multi-day planning campaign
-  (:class:`~repro.core.planning.MultiDayCampaign`) through the same backend
-  registry and :class:`EngineConfig`, with columnar day-ahead planning by
+  (:class:`~repro.core.planning.MultiDayCampaign`) through the same backends
+  and :class:`EngineConfig`, with columnar day-ahead planning by
   default and per-day backend choices recorded in the result.
 * :class:`EngineConfig` — consolidates the former kwarg sprawl (``seed``,
   ``max_simulation_rounds``, ``check_protocol``, …) plus the campaign
   ``planning`` path.
-* :class:`NegotiationEngine` / :func:`register_backend` — the backend
-  registry; ``"object"``, ``"vectorized"`` and ``"sharded"`` are built in,
-  ``"async"`` is a declared slot for the ROADMAP's asyncio runtime.
+* :class:`NegotiationEngine` / :func:`get_backend` — the three backends,
+  ``"object"``, ``"vectorized"`` and ``"sharded"`` (the last runs only when
+  requested by name).
 * :func:`scenario` / :class:`ScenarioBuilder` — fluent scenario construction.
 
 The façade also has a network form: ``python -m repro serve``
@@ -39,39 +39,27 @@ from repro.api.config import EngineConfig
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.runtime.faults import FaultPlan
 from repro.api.engine import (
-    AUTO_PRIORITY,
     BackendError,
-    BackendUnavailableError,
     BackendUnsupportedError,
-    DuplicateBackendError,
     NegotiationEngine,
     UnknownBackendError,
-    available_backends,
     get_backend,
-    register_backend,
     run,
     select_backend,
-    unregister_backend,
 )
 
 __all__ = [
-    "AUTO_PRIORITY",
     "BackendError",
-    "BackendUnavailableError",
     "BackendUnsupportedError",
     "CampaignCheckpoint",
-    "DuplicateBackendError",
     "EngineConfig",
     "FaultPlan",
     "NegotiationEngine",
     "ScenarioBuilder",
     "UnknownBackendError",
-    "available_backends",
     "campaign",
     "get_backend",
-    "register_backend",
     "run",
     "scenario",
     "select_backend",
-    "unregister_backend",
 ]

@@ -2,7 +2,7 @@
 
 :func:`campaign` is to :class:`~repro.core.planning.MultiDayCampaign` what
 :func:`repro.api.run` is to the session classes: one entry point that routes
-every planned day's negotiation through the backend registry with a single
+every planned day's negotiation through the engine backends with a single
 :class:`~repro.api.config.EngineConfig`, and records what actually ran::
 
     from repro.api import EngineConfig, campaign
@@ -14,7 +14,7 @@ every planned day's negotiation through the backend registry with a single
 The default configuration is the fast path: it plans each day on the
 columnar :class:`~repro.grid.fleet.HouseholdFleet` kernels, hands the plan
 over lazily (``materialise="lazy"``) and negotiates array rounds
-(``rounds="array"``) on the fastest qualifying backend.
+(``rounds="array"``) on the vectorized backend whenever the day qualifies.
 ``EngineConfig(planning="scalar")`` plus ``backend="object"`` reruns the
 identical campaign through the faithful object path — the seed-equivalence
 oracle.  Per-day backend choices land in
@@ -62,8 +62,10 @@ def campaign(
         Optional repeating weather-condition cycle; free-running weather
         otherwise.
     backend:
-        Engine backend for each day's negotiation — a registered name or
-        ``"auto"`` (default).
+        Engine backend for each day's negotiation — ``"object"``,
+        ``"vectorized"``, ``"sharded"`` or ``"auto"`` (default).  An unknown
+        name raises :class:`~repro.api.UnknownBackendError` before any day
+        runs.
     config:
         Base :class:`EngineConfig`; its ``planning`` field selects the
         columnar or scalar planning path, its ``materialise`` field the lazy

@@ -25,7 +25,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.agents.sharded import default_shard_count
 from repro.core.modes import (
     DEFAULT_MATERIALISE_MODE,
     DEFAULT_ROUNDS_MODE,
@@ -34,16 +33,8 @@ from repro.core.modes import (
     validate_planning_mode,
     validate_rounds_mode,
     validate_shard_count,
-    validate_shard_threshold,
 )
 from repro.runtime.faults import FaultPlan
-
-#: Population size from which ``backend="auto"`` starts considering the
-#: sharded runtime.  Below it the per-round fan-out overhead outweighs the
-#: parallel kernel time and the vectorized single-core path wins; at 5000
-#: households a round's kernel time is an order of magnitude above the
-#: pool's dispatch cost, so multiple workers have something real to split.
-DEFAULT_SHARD_THRESHOLD = 5000
 
 
 @dataclass(frozen=True)
@@ -75,13 +66,9 @@ class EngineConfig:
     with_resource_consumers:
         Attach Resource Consumer Agents to each household (object path only).
     shards:
-        Shard/worker count for the sharded runtime.  ``None`` (default) means
-        one shard per CPU core; the effective count is clamped to the
-        population size.  Setting it to ``1`` effectively disables sharding.
-    shard_threshold:
-        Minimum population size at which ``backend="auto"`` considers the
-        sharded runtime (explicitly requesting ``backend="sharded"`` ignores
-        it).
+        Shard/worker count for ``backend="sharded"``.  ``None`` (default)
+        means one shard per CPU core; the effective count is clamped to the
+        population size.  Ignored by the other backends.
     planning:
         Planning path used by campaign runs (:func:`repro.api.campaign` /
         :class:`~repro.core.planning.MultiDayCampaign`): ``"columnar"``
@@ -141,7 +128,6 @@ class EngineConfig:
     include_external_world: bool = False
     with_resource_consumers: bool = False
     shards: Optional[int] = None
-    shard_threshold: int = DEFAULT_SHARD_THRESHOLD
     planning: str = "columnar"
     materialise: str = DEFAULT_MATERIALISE_MODE
     rounds: str = DEFAULT_ROUNDS_MODE
@@ -156,7 +142,6 @@ class EngineConfig:
         # fails here, at construction, instead of silently selecting a
         # fallback path or surfacing as a confusing pool-level error.
         validate_shard_count(self.shards)
-        validate_shard_threshold(self.shard_threshold)
         validate_planning_mode(self.planning)
         validate_materialise_mode(self.materialise)
         validate_rounds_mode(self.rounds)
@@ -211,7 +196,3 @@ class EngineConfig:
     def sharded_session_kwargs(self) -> dict[str, object]:
         """Keyword arguments for :class:`~repro.core.sharded_session.ShardedSession`."""
         return {**self.fast_session_kwargs(), "shards": self.shards}
-
-    def resolved_shards(self) -> int:
-        """The worker count the sharded runtime would use (before clamping)."""
-        return self.shards if self.shards is not None else default_shard_count()

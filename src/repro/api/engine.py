@@ -1,36 +1,31 @@
-"""Negotiation engines: one dispatching entry point, pluggable backends.
+"""Negotiation engines: one dispatching entry point over three backends.
 
 The paper separates *what* is negotiated (scenario, reward tables, methods)
-from *how* the agent society executes it.  This module makes the "how"
-pluggable: a :class:`NegotiationEngine` wraps one execution strategy —
-the faithful object path (:class:`~repro.core.session.NegotiationSession`),
-the vectorized fast path (:class:`~repro.core.fast_session.FastSession`) and
-the parallel sharded runtime (:class:`~repro.core.sharded_session.
-ShardedSession`); the async runtime the ROADMAP plans is a declared slot —
-behind a common ``run(scenario, config)`` interface, and :func:`run`
-dispatches to a backend by name.
+from *how* the agent society executes it.  A :class:`NegotiationEngine`
+wraps one execution strategy behind a common ``run(scenario, config)``
+interface, and :func:`run` dispatches to one by name:
 
-``backend="auto"`` picks the fastest backend that *qualifies* for the
-scenario (homogeneous requirement grids, a method with batched kernels, no
-extra agents requested) and transparently falls back to the object path
-otherwise.  Which backend actually ran is recorded in
-``NegotiationResult.metadata["backend"]``; by the fast-path equivalence
-contract the choice never changes the result, only the wall-clock.
+* ``"object"`` — the faithful object path
+  (:class:`~repro.core.session.NegotiationSession`);
+* ``"vectorized"`` — the batched fast path
+  (:class:`~repro.core.fast_session.FastSession`);
+* ``"sharded"`` — the vectorized data plane cut into per-core thread shards
+  (:class:`~repro.core.sharded_session.ShardedSession`), run only when
+  requested by name.
 
-Registering a new backend::
-
-    @register_backend("sharded")
-    class ShardedBackend(NegotiationEngine):
-        name = "sharded"
-
-        def run(self, scenario, config):
-            ...
+``backend="auto"`` is a two-way choice: ``vectorized`` when the scenario
+rides the batched kernels end to end (a method with batched kernels, at
+most :data:`~repro.agents.vectorized.GRID_GROUP_AUTO_CAP` requirement
+grids, no extra agents requested), the object path otherwise.  Which
+backend actually ran is recorded in ``NegotiationResult.metadata["backend"]``;
+by the fast-path equivalence contract the choice never changes the result,
+only the wall-clock.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional, Type
+from typing import Optional
 
 from repro.agents.vectorized import GRID_GROUP_AUTO_CAP, shares_requirement_grid
 from repro.api.config import EngineConfig
@@ -49,19 +44,11 @@ from repro.negotiation.strategy import (
 
 
 class BackendError(Exception):
-    """Base class for backend registry and dispatch errors."""
-
-
-class DuplicateBackendError(BackendError):
-    """A backend name was registered twice."""
+    """Base class for backend lookup and dispatch errors."""
 
 
 class UnknownBackendError(BackendError, LookupError):
-    """No backend is registered under the requested name."""
-
-
-class BackendUnavailableError(BackendError, NotImplementedError):
-    """The backend is a declared slot whose implementation has not landed yet."""
+    """No backend exists under the requested name."""
 
 
 class BackendUnsupportedError(BackendError, ValueError):
@@ -71,16 +58,12 @@ class BackendUnsupportedError(BackendError, ValueError):
 class NegotiationEngine(abc.ABC):
     """One way of executing a negotiation scenario.
 
-    Subclasses wrap a session type (or a future distributed runtime) and are
-    registered by name via :func:`register_backend`.  Engines are stateless:
-    one instance serves every :func:`run` call.
+    Subclasses wrap a session type.  Engines are stateless: one instance in
+    :data:`BACKENDS` serves every :func:`run` call.
     """
 
-    #: Registry name; set by subclasses and mirrored by ``register_backend``.
+    #: The name :func:`run` and :func:`get_backend` know the engine by.
     name: str = "abstract"
-    #: Declared-but-unimplemented slots set this to ``False``; they appear in
-    #: :func:`available_backends` listings but refuse to run.
-    available: bool = True
 
     @abc.abstractmethod
     def run(self, scenario: Scenario, config: EngineConfig) -> NegotiationResult:
@@ -97,77 +80,20 @@ class NegotiationEngine(abc.ABC):
         """
         return True, ""
 
-    def qualifies(
-        self, scenario: Scenario, config: EngineConfig
-    ) -> tuple[bool, str]:
-        """Whether ``backend="auto"`` should pick this engine.
-
-        Stricter than :meth:`can_run`: an engine may be *able* to run a
-        scenario (e.g. via a scalar fallback) without being the right
-        automatic choice for it.
-        """
-        return self.can_run(scenario, config)
-
-
-_BACKENDS: dict[str, NegotiationEngine] = {}
-
-#: ``backend="auto"`` tries these names in order and picks the first
-#: registered, available backend whose ``qualifies`` check passes.  The
-#: object path is the universal fallback and must stay last.
-AUTO_PRIORITY: tuple[str, ...] = ("sharded", "async", "vectorized", "object")
-
-
-def register_backend(
-    name: str,
-) -> Callable[[Type[NegotiationEngine]], Type[NegotiationEngine]]:
-    """Class decorator registering a :class:`NegotiationEngine` under ``name``."""
-
-    def decorator(cls: Type[NegotiationEngine]) -> Type[NegotiationEngine]:
-        if name in _BACKENDS:
-            raise DuplicateBackendError(
-                f"a negotiation backend named {name!r} is already registered "
-                f"({type(_BACKENDS[name]).__name__}); unregister it first"
-            )
-        cls.name = name
-        _BACKENDS[name] = cls()
-        return cls
-
-    return decorator
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend from the registry (for tests and plugin teardown)."""
-    _BACKENDS.pop(name, None)
-
-
-def get_backend(name: str) -> NegotiationEngine:
-    """Look up a registered backend by name."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise UnknownBackendError(
-            f"unknown negotiation backend {name!r}; registered backends: "
-            f"{', '.join(sorted(_BACKENDS))}"
-        ) from None
-
-
-def available_backends() -> dict[str, bool]:
-    """Registered backend names mapped to their availability."""
-    return {name: engine.available for name, engine in sorted(_BACKENDS.items())}
-
 
 # -- built-in backends ----------------------------------------------------------------
 
 
-@register_backend("object")
 class ObjectBackend(NegotiationEngine):
     """The faithful multi-agent object path.
 
     One agent object per household, real messages over the bus, DESIRE
     process models, optional Producer / External World / Resource Consumer
     agents — the reference execution for paper-facing figures and the
-    universal fallback of ``backend="auto"``.
+    fallback of ``backend="auto"``.
     """
+
+    name = "object"
 
     def run(self, scenario: Scenario, config: EngineConfig) -> NegotiationResult:
         return NegotiationSession(scenario, **config.session_kwargs()).run()
@@ -199,7 +125,7 @@ def _distinct_requirement_grids(scenario: Scenario) -> int:
 
 
 def _no_full_society(config: EngineConfig) -> tuple[bool, str]:
-    """Hard capability check shared by every batched (non-object) backend."""
+    """Hard capability check shared by the batched (non-object) backends."""
     if config.needs_full_agent_society:
         return False, (
             "producer / external-world / resource-consumer agents require "
@@ -213,9 +139,9 @@ def _fast_path_qualifies(
 ) -> tuple[bool, str]:
     """Whether the scenario rides the batched kernels end to end.
 
-    Shared by the vectorized and sharded backends so the two can never drift:
-    the sharded runtime is the vectorized data plane cut into slices, so a
-    scenario that would hit the fast path's scalar fallback disqualifies both.
+    The one test behind ``backend="auto"`` (and the serving layer's batch
+    executor): a scenario that would hit the fast path's scalar fallback
+    runs on the object path instead.
     """
     ok, reason = _no_full_society(config)
     if not ok:
@@ -242,7 +168,6 @@ def _fast_path_qualifies(
     return True, ""
 
 
-@register_backend("vectorized")
 class VectorizedBackend(NegotiationEngine):
     """The batched numpy fast path (:class:`~repro.core.fast_session.FastSession`).
 
@@ -250,6 +175,8 @@ class VectorizedBackend(NegotiationEngine):
     households.  It cannot host the extra agents of the full society, so
     configurations requesting them are refused.
     """
+
+    name = "vectorized"
 
     def run(self, scenario: Scenario, config: EngineConfig) -> NegotiationResult:
         return FastSession(scenario, **config.fast_session_kwargs()).run()
@@ -259,23 +186,18 @@ class VectorizedBackend(NegotiationEngine):
     ) -> tuple[bool, str]:
         return _no_full_society(config)
 
-    def qualifies(
-        self, scenario: Scenario, config: EngineConfig
-    ) -> tuple[bool, str]:
-        return _fast_path_qualifies(scenario, config)
 
-
-@register_backend("sharded")
 class ShardedBackend(NegotiationEngine):
-    """The parallel runtime (:class:`~repro.core.sharded_session.ShardedSession`).
+    """The thread-sharded runtime (:class:`~repro.core.sharded_session.ShardedSession`).
 
     Partitions the vectorized population into per-core shards and fans each
     round's kernels out to a thread pool; bit-identical to the vectorized and
-    object paths at equal seeds.  ``backend="auto"`` only picks it for
-    populations of at least :attr:`EngineConfig.shard_threshold` households
-    with more than one worker available — below that the single-core
-    vectorized path wins — but it can always be requested explicitly.
+    object paths at equal seeds.  It does not beat ``vectorized`` on the
+    benchmark, so ``backend="auto"`` never picks it; it runs only when
+    requested by name.
     """
+
+    name = "sharded"
 
     def run(self, scenario: Scenario, config: EngineConfig) -> NegotiationResult:
         session = ShardedSession(scenario, **config.sharded_session_kwargs())
@@ -288,49 +210,23 @@ class ShardedBackend(NegotiationEngine):
     ) -> tuple[bool, str]:
         return _no_full_society(config)
 
-    def qualifies(
-        self, scenario: Scenario, config: EngineConfig
-    ) -> tuple[bool, str]:
-        ok, reason = _fast_path_qualifies(scenario, config)
-        if not ok:
-            return ok, reason
-        num_households = len(scenario.population)
-        if num_households < config.shard_threshold:
-            return False, (
-                f"population of {num_households} below the shard threshold "
-                f"({config.shard_threshold}); single-core vectorized path wins"
-            )
-        if config.resolved_shards() < 2:
-            return False, (
-                "only one worker available (set EngineConfig.shards >= 2 to "
-                "shard anyway)"
-            )
-        return True, ""
+
+#: Every backend by name; :func:`get_backend` and :func:`run` read it.
+BACKENDS: dict[str, NegotiationEngine] = {
+    engine.name: engine
+    for engine in (ObjectBackend(), VectorizedBackend(), ShardedBackend())
+}
 
 
-class _PlannedBackend(NegotiationEngine):
-    """A declared slot for a backend the ROADMAP plans but has not landed."""
-
-    available = False
-    roadmap_item: str = ""
-
-    def run(self, scenario: Scenario, config: EngineConfig) -> NegotiationResult:
-        raise BackendUnavailableError(
-            f"the {self.name!r} backend is a planned slot ({self.roadmap_item}); "
-            f"use backend='auto', 'vectorized' or 'object' until it lands"
-        )
-
-    def can_run(
-        self, scenario: Scenario, config: EngineConfig
-    ) -> tuple[bool, str]:
-        return False, f"{self.name!r} backend not implemented yet ({self.roadmap_item})"
-
-
-@register_backend("async")
-class AsyncBackend(_PlannedBackend):
-    """Slot for the asyncio message-bus runtime (overlapped information acquisition)."""
-
-    roadmap_item = "ROADMAP: async message bus"
+def get_backend(name: str) -> NegotiationEngine:
+    """Look up a backend by name."""
+    try:
+        return BACKENDS[name]
+    except KeyError:
+        raise UnknownBackendError(
+            f"unknown negotiation backend {name!r}; backends: "
+            f"{', '.join(sorted(BACKENDS))} (or 'auto')"
+        ) from None
 
 
 # -- dispatch --------------------------------------------------------------------------
@@ -339,28 +235,15 @@ class AsyncBackend(_PlannedBackend):
 def select_backend(
     scenario: Scenario, config: EngineConfig
 ) -> tuple[NegotiationEngine, dict[str, str]]:
-    """The engine ``backend="auto"`` would pick, plus the rejection reasons.
+    """The engine ``backend="auto"`` picks, plus why the fast path was passed over.
 
-    Walks :data:`AUTO_PRIORITY` and returns the first available engine whose
-    ``qualifies`` check passes; the second element maps each skipped backend
-    to why it was skipped (useful for diagnostics and tests).
+    ``vectorized`` when :func:`_fast_path_qualifies` passes, ``object``
+    otherwise; the second element is ``{}`` or ``{"vectorized": reason}``.
     """
-    rejections: dict[str, str] = {}
-    for name in AUTO_PRIORITY:
-        engine = _BACKENDS.get(name)
-        if engine is None:
-            continue
-        if not engine.available:
-            rejections[name] = "not implemented yet"
-            continue
-        ok, reason = engine.qualifies(scenario, config)
-        if ok:
-            return engine, rejections
-        rejections[name] = reason
-    raise UnknownBackendError(
-        "no registered backend qualifies for this scenario; "
-        f"rejections: {rejections}"
-    )
+    ok, reason = _fast_path_qualifies(scenario, config)
+    if ok:
+        return BACKENDS["vectorized"], {}
+    return BACKENDS["object"], {"vectorized": reason}
 
 
 def run(
@@ -378,9 +261,9 @@ def run(
         with :func:`repro.api.scenario` or the ``repro.core.scenario``
         factories).
     backend:
-        A registered backend name, or ``"auto"`` (default) to pick the
-        fastest qualifying backend with transparent fallback to the object
-        path.
+        ``"object"``, ``"vectorized"``, ``"sharded"``, or ``"auto"``
+        (default): ``vectorized`` when the scenario qualifies for the batched
+        kernels, ``object`` otherwise.
     config:
         An :class:`EngineConfig`; defaults to ``EngineConfig()``.
     **overrides:
@@ -400,12 +283,6 @@ def run(
         engine, rejections = select_backend(scenario, resolved)
     else:
         engine = get_backend(backend)
-        if not engine.available:
-            _, reason = engine.can_run(scenario, resolved)
-            raise BackendUnavailableError(
-                f"backend {backend!r} is registered but not available"
-                + (f": {reason}" if reason else "")
-            )
         ok, reason = engine.can_run(scenario, resolved)
         if not ok:
             raise BackendUnsupportedError(
@@ -415,9 +292,7 @@ def run(
     result = engine.run(scenario, resolved)
     result.metadata["backend"] = engine.name
     if backend == "auto":
-        # Why faster backends were passed over (empty when the first choice
-        # won) — lets callers and tests see e.g. that "sharded" was excluded
-        # for being below the shard threshold.
+        # Why the fast path was passed over (empty when it ran).
         result.metadata["backend_rejections"] = rejections
     planning_fallback = getattr(scenario.population, "planning_fallback", None)
     if planning_fallback is not None:

@@ -6,7 +6,7 @@ Usage (after ``pip install -e .``)::
     python -m repro run E2               # run one experiment and print its report
     python -m repro run all              # run every experiment (slow but complete)
     python -m repro quickstart           # run the prototype negotiation end to end
-    python -m repro backends             # list the registered negotiation backends
+    python -m repro backends             # list the negotiation backends
     python -m repro serve                # start the negotiation HTTP server
 
 The CLI is a thin wrapper over :mod:`repro.experiments`; anything it prints
@@ -96,15 +96,14 @@ def command_quickstart(backend: str = "auto") -> int:
 
 
 def command_backends() -> int:
-    """Print the registered negotiation backends and the serving layer."""
-    from repro.api import available_backends
-    from repro.serve.coalesce import request_coalesces  # noqa: F401 - availability probe
+    """Print the negotiation backends and the serving layer."""
+    from repro.api.engine import BACKENDS
 
     rows = [
-        {"backend": name, "status": "available" if ok else "planned slot"}
-        for name, ok in available_backends().items()
+        {"backend": name, "engine": type(engine).__name__}
+        for name, engine in sorted(BACKENDS.items())
     ]
-    print(format_table(rows, title="Registered negotiation backends"))
+    print(format_table(rows, title="Negotiation backends"))
     print()
     print(
         "serving: python -m repro serve exposes backend='auto' over HTTP with\n"
@@ -163,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     quickstart_parser.add_argument(
         "--backend", default="auto",
-        help="negotiation backend (auto, object, vectorized; default auto)",
+        help="negotiation backend (auto, object, vectorized, sharded; default auto)",
     )
-    subparsers.add_parser("backends", help="list the registered negotiation backends")
+    subparsers.add_parser("backends", help="list the negotiation backends")
     serve_parser = subparsers.add_parser(
         "serve", help="serve negotiations over HTTP with request coalescing"
     )

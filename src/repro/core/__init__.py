@@ -20,20 +20,11 @@ prototype demonstrates:
   (predict demand, decide whether to negotiate, negotiate, apply the awarded
   cut-downs, account for costs and rewards).
 
-Running negotiations directly through the session classes is deprecated in
-favour of the :mod:`repro.api` façade (``repro.api.run(scenario)``), which
-dispatches to the right execution backend and keeps call sites independent of
-the session zoo.  The ``NegotiationSession`` / ``FastSession`` names exported
-*here* are thin shims that still work for one release but emit a
-``DeprecationWarning`` on first construction; the underlying classes remain
-importable warning-free from their home modules for the engine backends and
-low-level tests.
+Negotiations run through the :mod:`repro.api` façade
+(``repro.api.run(scenario)``), which dispatches to the right execution
+backend; the session classes live in their home modules.
 """
 
-import warnings
-
-from repro.core import fast_session as _fast_session_module
-from repro.core import session as _session_module
 from repro.core.planning import (
     CampaignDay,
     CampaignResult,
@@ -48,55 +39,14 @@ from repro.core.scenario import (
 )
 from repro.core.system import LoadBalancingSystem
 
-#: Shim classes that have already warned (each warns exactly once per process).
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_deprecated_session(name: str) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"constructing repro.core.{name} directly is deprecated; run "
-        f"negotiations through repro.api.run(scenario, ...) instead "
-        f"(this shim will be removed in the next release)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class NegotiationSession(_session_module.NegotiationSession):
-    """Deprecated alias for :class:`repro.core.session.NegotiationSession`.
-
-    Use ``repro.api.run(scenario, backend="object")`` instead.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        _warn_deprecated_session("NegotiationSession")
-        super().__init__(*args, **kwargs)
-
-
-class FastSession(_fast_session_module.FastSession):
-    """Deprecated alias for :class:`repro.core.fast_session.FastSession`.
-
-    Use ``repro.api.run(scenario, backend="vectorized")`` instead.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        _warn_deprecated_session("FastSession")
-        super().__init__(*args, **kwargs)
-
-
 __all__ = [
     "CampaignDay",
     "CampaignResult",
     "CustomerOutcome",
     "DayAheadPlanner",
-    "FastSession",
     "LoadBalancingSystem",
     "MultiDayCampaign",
     "NegotiationResult",
-    "NegotiationSession",
     "Scenario",
     "SystemResult",
     "paper_prototype_scenario",

@@ -105,14 +105,3 @@ def validate_shard_count(shards: Optional[int]) -> Optional[int]:
             f"core), got {shards!r}"
         )
     return count
-
-
-def validate_shard_threshold(shard_threshold: int) -> int:
-    """Return the auto-backend sharding threshold or raise a :class:`ValueError`."""
-    threshold = int(shard_threshold)
-    if threshold < 1:
-        raise ValueError(
-            f"shard_threshold must be a positive population size, got "
-            f"{shard_threshold!r}"
-        )
-    return threshold

@@ -423,6 +423,13 @@ class MultiDayCampaign:
     ) -> None:
         if warmup_days <= 0:
             raise ValueError("the predictor needs at least one warm-up day")
+        if backend != "auto":
+            # Imported lazily: repro.api depends on repro.core's session
+            # modules.  An unknown name fails here, before any day runs,
+            # instead of inside the first day's negotiation.
+            from repro.api.engine import get_backend
+
+            get_backend(backend)
         self.planner = planner
         self.production = production or ProductionModel.two_tier(
             normal_capacity_kw=planner.normal_capacity_kw,

@@ -51,12 +51,12 @@ from repro.core.scenario import synthetic_scenario
 #: path's practical ceiling.
 FAST_PATH_SIZES: tuple[int, ...] = (10, 50, 200, 1000, 5000, 10000)
 
-#: Default sweep of the sharded runtime: starts where auto-selection starts
-#: considering shards and extends the trajectory to 50k households.
+#: Default sweep of the sharded runtime: from 5k households, where a round's
+#: kernel time dwarfs the pool's dispatch cost, to 50k households.
 SHARDED_SIZES: tuple[int, ...] = (5000, 10000, 20000, 50000)
 
 #: Human-readable path label per backend (kept stable for the JSON artefact:
-#: ``"fast"`` predates the backend registry).
+#: ``"fast"`` predates the backend names).
 _PATH_LABELS = {"object": "object", "vectorized": "fast", "sharded": "sharded"}
 
 

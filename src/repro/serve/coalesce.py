@@ -47,29 +47,18 @@ ProgressCallback = Callable[[int, dict[str, Any]], None]
 def request_coalesces(request: ServeRequest) -> bool:
     """Whether a request is a candidate for the coalesced vectorized path.
 
-    Mirrors the façade's routing on the *request spec* (before the scenario
-    is built, so the submit handler can route cheaply): the request must not
-    pin a non-vectorized backend, must not need the full agent society, and —
-    for ``backend="auto"`` — must be below the shard threshold, where auto
-    itself would pick the vectorized path.  The batch executor re-checks
-    :func:`repro.api.engine._fast_path_qualifies` on the built scenario and
-    demotes to solo on disagreement, so this predicate only has to be
-    *sound for routing*, never load-bearing for correctness.
+    Decided on the *request spec* (before the scenario is built, so the
+    submit handler can route cheaply): the request must not pin a
+    non-vectorized backend and must not need the full agent society.  The
+    batch executor re-checks :func:`repro.api.engine._fast_path_qualifies`
+    on the built scenario and demotes to solo on disagreement, so this
+    predicate only has to be *sound for routing*, never load-bearing for
+    correctness.
     """
-    if request.backend not in ("auto", "vectorized"):
-        return False
-    config = request.config
-    if config.needs_full_agent_society:
-        return False
-    if request.backend == "auto":
-        households = (
-            request.scenario.households
-            if request.scenario.family == "synthetic"
-            else 20  # the calibrated paper population
-        )
-        if households >= config.shard_threshold and config.resolved_shards() >= 2:
-            return False  # auto would route to the sharded runtime
-    return True
+    return (
+        request.backend in ("auto", "vectorized")
+        and not request.config.needs_full_agent_society
+    )
 
 
 class _CoalescedMemberSession(FastSession):

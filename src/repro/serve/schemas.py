@@ -64,7 +64,7 @@ _SCENARIO_KEYS = {
 _CONFIG_KEYS = {
     "seed", "max_simulation_rounds", "check_protocol", "retain_message_log",
     "include_producer", "include_external_world", "with_resource_consumers",
-    "shards", "shard_threshold", "fault_plan", "rounds",
+    "shards", "fault_plan", "rounds",
 }
 _FAULT_PLAN_KEYS = {field.name for field in dataclasses.fields(FaultPlan)}
 _TOP_LEVEL_KEYS = {"scenario", "config", "backend", "deadline_ms"}

@@ -1,34 +1,26 @@
 """Tests for the repro.api engine façade.
 
-Covers the backend registry (duplicate rejection, unknown names, planned
-slots), ``backend="auto"`` selection on qualifying and non-qualifying
-scenarios, config handling, the deprecation shims, the fluent scenario
-builder's round-trip contract, and the acceptance criterion: ``"auto"``
-produces bit-identical results to each explicitly chosen backend.
+Covers the backend table (the three engines, unknown names),
+``backend="auto"`` selection on qualifying and non-qualifying scenarios,
+config handling, the fluent scenario builder's round-trip contract, and the
+acceptance criterion: ``"auto"`` produces bit-identical results to each
+explicitly chosen backend.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-import repro.core
 from repro.api import (
-    BackendUnavailableError,
     BackendUnsupportedError,
-    DuplicateBackendError,
     EngineConfig,
-    NegotiationEngine,
     UnknownBackendError,
-    available_backends,
     get_backend,
-    register_backend,
     run,
     scenario,
     select_backend,
-    unregister_backend,
 )
+from repro.api.engine import BACKENDS
 from repro.core.fast_session import FastSession
 from repro.core.scenario import (
     Scenario,
@@ -88,67 +80,19 @@ def many_grid_scenario(num_customers: int = 40) -> Scenario:
 
 class TestBackendRegistry:
     def test_builtin_backends_registered(self):
-        backends = available_backends()
-        assert backends["object"] is True
-        assert backends["vectorized"] is True
-        assert backends["sharded"] is True
-        # Declared slot for the ROADMAP's async runtime.
-        assert backends["async"] is False
-
-    def test_duplicate_name_rejected(self):
-        original = get_backend("object")
-        with pytest.raises(DuplicateBackendError, match="already registered"):
-
-            @register_backend("object")
-            class Impostor(NegotiationEngine):
-                def run(self, scenario, config):  # pragma: no cover
-                    raise AssertionError
-
-        # The registry is unchanged by the failed registration.
-        assert get_backend("object") is original
+        assert sorted(BACKENDS) == ["object", "sharded", "vectorized"]
+        for name, engine in BACKENDS.items():
+            assert engine.name == name
+            assert get_backend(name) is engine
 
     def test_unknown_backend_error_lists_registered_names(self):
         with pytest.raises(UnknownBackendError, match="object"):
             get_backend("warp_drive")
         with pytest.raises(UnknownBackendError):
             run(small_scenario(), backend="warp_drive")
-
-    def test_planned_slots_refuse_to_run(self):
-        with pytest.raises(BackendUnavailableError, match="not available"):
-            run(small_scenario(), backend="async")
-
-    def test_unavailable_backend_never_executes(self):
-        # A registered-but-unavailable backend must be refused up front, not
-        # probed by running it (a working run() would execute twice).
-        @register_backend("embargoed")
-        class EmbargoedBackend(NegotiationEngine):
-            available = False
-            calls = 0
-
-            def run(self, scenario, config):  # pragma: no cover - must not run
-                EmbargoedBackend.calls += 1
-                raise AssertionError("unavailable backend was executed")
-
-        try:
-            with pytest.raises(BackendUnavailableError, match="not available"):
-                run(small_scenario(), backend="embargoed")
-            assert EmbargoedBackend.calls == 0
-        finally:
-            unregister_backend("embargoed")
-
-    def test_custom_backend_registration_roundtrip(self):
-        @register_backend("echo")
-        class EchoBackend(NegotiationEngine):
-            def run(self, scenario, config):
-                return NegotiationSession(scenario, **config.session_kwargs()).run()
-
-        try:
-            result = run(small_scenario(), backend="echo", seed=0)
-            assert result.metadata["backend"] == "echo"
-        finally:
-            unregister_backend("echo")
+        # The former planned slot is just another unknown name.
         with pytest.raises(UnknownBackendError):
-            get_backend("echo")
+            run(small_scenario(), backend="async")
 
 
 class TestAutoSelection:
@@ -222,48 +166,48 @@ class TestAutoSelection:
         assert "StickyBidding" in rejections["vectorized"]
 
     def test_select_backend_reports_skipped_slots(self):
-        engine, rejections = select_backend(small_scenario(), EngineConfig())
+        # Auto is a two-way choice: nothing is skipped when the fast path
+        # runs, and only the fast path is skipped when the object path runs.
+        engine, rejections = select_backend(small_scenario(), EngineConfig(shards=2))
         assert engine.name == "vectorized"
-        assert "below the shard threshold" in rejections["sharded"]
-        assert rejections["async"] == "not implemented yet"
+        assert rejections == {}
+        engine, rejections = select_backend(many_grid_scenario(), EngineConfig())
+        assert engine.name == "object"
+        assert set(rejections) == {"vectorized"}
 
 
 class TestShardedSelection:
-    """Auto-selection of the sharded runtime and its metadata trail."""
+    """Auto never picks the sharded runtime; by name it runs and records shards."""
 
-    def test_auto_selects_sharded_above_threshold_with_workers(self):
-        result = run(small_scenario(), seed=0, shards=2, shard_threshold=4)
-        assert result.metadata["backend"] == "sharded"
-        assert result.metadata["shards"] == 2
-        assert result.metadata["backend_rejections"] == {}
-
-    def test_auto_records_threshold_rejection_reason(self):
-        # 8 households sit below the default threshold: the fast path runs
-        # and the metadata says exactly why sharding was passed over.
-        result = run(small_scenario(), seed=0, shards=2)
-        assert result.metadata["backend"] == "vectorized"
-        rejections = result.metadata["backend_rejections"]
-        assert "below the shard threshold" in rejections["sharded"]
-
-    def test_auto_records_single_worker_rejection_reason(self):
-        result = run(small_scenario(), seed=0, shards=1, shard_threshold=4)
-        assert result.metadata["backend"] == "vectorized"
-        assert "one worker" in result.metadata["backend_rejections"]["sharded"]
+    def test_auto_picks_vectorized_at_scale_with_workers(self):
+        # Above the population size where auto used to shard, with workers
+        # to spare, auto still picks the single-core fast path — and its
+        # result equals an explicit sharded run.
+        town = synthetic_scenario(num_households=5000, seed=2)
+        engine, rejections = select_backend(town, EngineConfig(shards=2))
+        assert engine.name == "vectorized"
+        assert rejections == {}
+        auto = run(town, seed=0, shards=2)
+        sharded = run(town, backend="sharded", seed=0, shards=2)
+        assert auto.metadata["backend"] == "vectorized"
+        assert "shards" not in auto.metadata
+        assert sharded.metadata["backend"] == "sharded"
+        assert_equivalent(auto, sharded)
 
     def test_auto_records_fallback_reasons_on_object_path(self):
         # A scenario the batched kernels cannot carry — more distinct grids
-        # than the grouped-kernel cap — excludes *both* fast backends, and
-        # each exclusion reason lands in the metadata.
-        result = run(many_grid_scenario(), seed=0, shards=2, shard_threshold=2)
+        # than the grouped-kernel cap — excludes the fast path, and the
+        # exclusion reason lands in the metadata.
+        result = run(many_grid_scenario(), seed=0, shards=2)
         assert result.metadata["backend"] == "object"
         rejections = result.metadata["backend_rejections"]
-        assert "distinct requirement grids exceed" in rejections["sharded"]
+        assert set(rejections) == {"vectorized"}
         assert "distinct requirement grids exceed" in rejections["vectorized"]
 
-    def test_auto_selects_sharded_for_heterogeneous_grids(self):
-        # Grouped kernels qualify the *sharded* runtime too: a mixed-grid
-        # population above the shard threshold fans out, bit-identically.
-        result = run(heterogeneous_scenario(), seed=0, shards=2, shard_threshold=2)
+    def test_explicit_sharded_runs_heterogeneous_grids(self):
+        # Grouped kernels carry the sharded runtime too: a mixed-grid
+        # population fans out, bit-identically.
+        result = run(heterogeneous_scenario(), backend="sharded", seed=0, shards=2)
         assert result.metadata["backend"] == "sharded"
         reference = run(heterogeneous_scenario(), backend="object", seed=0)
         assert_equivalent(reference, result)
@@ -272,39 +216,6 @@ class TestShardedSelection:
         result = run(small_scenario(), backend="vectorized", seed=0)
         assert result.metadata["backend"] == "vectorized"
         assert "backend_rejections" not in result.metadata
-
-    def test_selection_boundary_at_exact_threshold(self):
-        # The threshold is inclusive: a population of exactly shard_threshold
-        # households selects the sharded runtime …
-        scenario_ = small_scenario()
-        at = select_backend(
-            scenario_, EngineConfig(shards=2, shard_threshold=len(scenario_.population))
-        )
-        assert at[0].name == "sharded"
-        assert "sharded" not in at[1]
-        # … and one household fewer falls back to vectorized, with the
-        # rejection reason naming both the size and the threshold.
-        below = select_backend(
-            scenario_,
-            EngineConfig(shards=2, shard_threshold=len(scenario_.population) + 1),
-        )
-        assert below[0].name == "vectorized"
-        reason = below[1]["sharded"]
-        assert str(len(scenario_.population)) in reason
-        assert str(len(scenario_.population) + 1) in reason
-
-    def test_rejection_metadata_contents_around_threshold(self):
-        scenario_ = small_scenario()
-        population = len(scenario_.population)
-        at = run(scenario_, seed=0, shards=2, shard_threshold=population)
-        assert at.metadata["backend"] == "sharded"
-        assert at.metadata["backend_rejections"] == {}
-        below = run(small_scenario(), seed=0, shards=2, shard_threshold=population + 1)
-        rejections = below.metadata["backend_rejections"]
-        # Exactly the backends that were passed over, each with its reason.
-        assert set(rejections) == {"sharded", "async"}
-        assert "below the shard threshold" in rejections["sharded"]
-        assert rejections["async"] == "not implemented yet"
 
     def test_lazy_population_qualifies_without_materialising(self):
         # Auto-selection must not defeat the zero-materialisation path by
@@ -329,13 +240,9 @@ class TestShardedSelection:
         assert scenario_ is not None
         engine, __ = select_backend(scenario_, EngineConfig())
         assert engine.name == "vectorized"
-        sharded_engine, __ = select_backend(
-            scenario_, EngineConfig(shards=2, shard_threshold=2)
-        )
-        assert sharded_engine.name == "sharded"
         assert scenario_.population.materialised is False
 
-    def test_explicit_sharded_ignores_threshold(self):
+    def test_explicit_sharded_records_shard_count(self):
         result = run(small_scenario(), backend="sharded", seed=0, shards=3)
         assert result.metadata["backend"] == "sharded"
         assert result.metadata["shards"] == 3
@@ -350,7 +257,7 @@ class TestShardedSelection:
 
     def test_sharded_equivalent_to_auto_fast_path(self):
         auto = run(small_scenario(), seed=0)
-        sharded = run(small_scenario(), seed=0, shards=2, shard_threshold=4)
+        sharded = run(small_scenario(), backend="sharded", seed=0, shards=2)
         assert auto.metadata["backend"] == "vectorized"
         assert sharded.metadata["backend"] == "sharded"
         assert_equivalent(auto, sharded)
@@ -358,14 +265,6 @@ class TestShardedSelection:
     def test_invalid_shard_config_rejected(self):
         with pytest.raises(ValueError, match="shards"):
             EngineConfig(shards=0)
-        with pytest.raises(ValueError, match="shard_threshold"):
-            EngineConfig(shard_threshold=0)
-
-    def test_resolved_shards_defaults_to_core_count(self):
-        from repro.agents.sharded import default_shard_count
-
-        assert EngineConfig().resolved_shards() == default_shard_count()
-        assert EngineConfig(shards=5).resolved_shards() == 5
 
 
 class TestRunConfig:
@@ -433,51 +332,6 @@ class TestRunConfig:
             planner.plan(mild, planning="sclar")
         with pytest.raises(ValueError, match="lazy"):
             planner.plan(mild, materialise="lzy")
-
-
-class TestDeprecationShims:
-    def _reset(self):
-        repro.core._DEPRECATION_WARNED.clear()
-
-    def test_shim_warns_exactly_once(self):
-        self._reset()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.core.NegotiationSession(paper_prototype_scenario(), seed=0)
-            repro.core.NegotiationSession(paper_prototype_scenario(), seed=0)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "repro.api.run" in str(deprecations[0].message)
-
-    def test_fast_session_shim_warns_exactly_once(self):
-        # Direct construction must warn exactly once per process, and the
-        # warning must name the replacement entry point so the migration
-        # path is in the message itself, not just the docs.
-        self._reset()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.core.FastSession(paper_prototype_scenario(), seed=0)
-            repro.core.FastSession(paper_prototype_scenario(), seed=0)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "repro.api.run" in str(deprecations[0].message)
-        assert "FastSession" in str(deprecations[0].message)
-
-    def test_shims_still_run_and_subclass_the_real_sessions(self):
-        self._reset()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            session = repro.core.NegotiationSession(paper_prototype_scenario(), seed=0)
-        assert isinstance(session, NegotiationSession)
-        assert session.run().rounds == 3
-
-    def test_home_module_classes_do_not_warn(self):
-        self._reset()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            NegotiationSession(paper_prototype_scenario(), seed=0)
-            FastSession(paper_prototype_scenario(), seed=0)
-        assert not [w for w in caught if w.category is DeprecationWarning]
 
 
 class TestScenarioBuilder:
@@ -605,16 +459,14 @@ class TestAutoEquivalence:
 
     @pytest.mark.tier2
     @pytest.mark.parametrize("make_method", _method_variants())
-    def test_auto_selected_sharded_matches_object_path(self, make_method):
-        # Force auto past the shard threshold so the selected-and-recorded
-        # backend really is "sharded", then pin the equivalence contract.
+    def test_explicit_sharded_matches_object_path(self, make_method):
         def make(planning="columnar"):
             return synthetic_scenario(
                 num_households=64, seed=3, method=make_method(), planning=planning
             )
 
-        auto = run(make(), seed=0, shards=2, shard_threshold=32)
+        sharded = run(make(), backend="sharded", seed=0, shards=2)
         objectpath = run(make("scalar"), backend="object", seed=0)
-        assert auto.metadata["backend"] == "sharded"
-        assert auto.metadata["shards"] == 2
-        assert_equivalent(objectpath, auto)
+        assert sharded.metadata["backend"] == "sharded"
+        assert sharded.metadata["shards"] == 2
+        assert_equivalent(objectpath, sharded)

@@ -4,8 +4,8 @@ Two contracts from the columnar planning pipeline:
 
 * **Backend determinism** — at a fixed seed, a campaign produces identical
   ``CampaignResult.rows()`` whichever engine backend runs the negotiations
-  (``"object"`` / ``"vectorized"`` / ``"auto"``): the backend choice changes
-  wall-clock, never outcomes.
+  (``"object"`` / ``"vectorized"`` / ``"sharded"`` / ``"auto"``): the
+  backend choice changes wall-clock, never outcomes.
 * **Planning equivalence** — the columnar fleet path and the scalar
   per-household path build bit-identical plans: same predicted uses, same
   requirement tables per household, hence identical campaigns.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import EngineConfig, campaign
+from repro.api import EngineConfig, UnknownBackendError, campaign
 from repro.core.planning import DayAheadPlanner
 from repro.experiments.campaign_bench import (
     CONDITION_CYCLE,
@@ -58,23 +58,19 @@ class TestCampaignBackendDeterminism:
             "vectorized", materialise="eager", rounds="object"
         )
         assert object_rounds.rows() == reference.rows()
-        # The sharded runtime joins the matrix at campaign level: explicitly
-        # requested (ignoring the threshold) …
+        # The sharded runtime joins the matrix at campaign level, requested
+        # by name; auto never picks it, with or without workers to spare.
         sharded = run_small_campaign("sharded", shards=2)
         assert sharded.rows() == reference.rows()
         assert all(
             day.backend == "sharded" for day in sharded.days if day.negotiated
         )
-        # … and via auto-selection across the shard_threshold boundary.
-        auto_sharded = run_small_campaign("auto", shards=2, shard_threshold=30)
-        assert auto_sharded.rows() == reference.rows()
+        auto_with_workers = run_small_campaign("auto", shards=2)
+        assert auto_with_workers.rows() == reference.rows()
         assert all(
-            day.backend == "sharded" for day in auto_sharded.days if day.negotiated
-        )
-        auto_below = run_small_campaign("auto", shards=2, shard_threshold=31)
-        assert auto_below.rows() == reference.rows()
-        assert all(
-            day.backend == "vectorized" for day in auto_below.days if day.negotiated
+            day.backend == "vectorized"
+            for day in auto_with_workers.days
+            if day.negotiated
         )
 
     def test_backends_are_recorded_per_day(self):
@@ -95,6 +91,15 @@ class TestCampaignBackendDeterminism:
         result = run_small_campaign("auto")
         assert result.planning_seconds > 0
         assert result.negotiation_seconds > 0
+
+    @pytest.mark.parametrize("backend", ["vectorised", "async"])
+    def test_unknown_backend_fails_before_any_day(self, backend):
+        # A typo'd backend name fails at construction, like every other mode
+        # knob — not as a "failed_day" record after the warm-up ran.
+        planner = small_planner()
+        with pytest.raises(UnknownBackendError, match=backend):
+            campaign(planner, 4, conditions=CONDITION_CYCLE, backend=backend)
+        assert planner.predictor.observed_days == 0
 
 
 class TestPlanningEquivalence:
@@ -334,9 +339,8 @@ class TestCampaignBackendMatrixAtScale:
 
     The single-negotiation three-way matrix lives in ``test_api.py`` /
     ``test_sharded_session.py``; this runs the whole observe → predict →
-    negotiate → account loop per backend — including the sharded runtime
-    auto-selected across the ``shard_threshold`` boundary — and requires
-    identical campaign rows.
+    negotiate → account loop per backend — the sharded runtime requested by
+    name — and requires identical campaign rows.
     """
 
     def run_matrix_campaign(self, backend: str, **config_fields):
@@ -355,17 +359,15 @@ class TestCampaignBackendMatrixAtScale:
         assert reference.days_negotiated >= 1
         explicit_sharded = self.run_matrix_campaign("sharded", shards=4)
         assert explicit_sharded.rows() == reference.rows()
-        auto_sharded = self.run_matrix_campaign(
-            "auto", shards=4, shard_threshold=800
-        )
-        assert auto_sharded.rows() == reference.rows()
         assert all(
-            day.backend == "sharded" for day in auto_sharded.days if day.negotiated
+            day.backend == "sharded"
+            for day in explicit_sharded.days
+            if day.negotiated
         )
         for backend, fields in (
             ("vectorized", {}),
             ("vectorized", {"rounds": "object", "materialise": "eager"}),
-            ("auto", {"shards": 4, "shard_threshold": 801}),
+            ("auto", {"shards": 4}),
         ):
             result = self.run_matrix_campaign(backend, **fields)
             assert result.rows() == reference.rows(), (
@@ -378,7 +380,7 @@ class TestCampaignBackendMatrixAtScale:
             )
         # The lazy hand-off slots into the same matrix unchanged.
         lazy = self.run_matrix_campaign(
-            "auto", materialise="lazy", shards=4, shard_threshold=800
+            "sharded", materialise="lazy", shards=4
         )
         assert lazy.rows() == reference.rows()
 

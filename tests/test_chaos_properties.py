@@ -28,7 +28,7 @@ from repro.api import EngineConfig, FaultPlan, campaign, run, scenario
 from repro.core.fast_session import FastSession
 from repro.core.session import NegotiationSession
 from repro.core.sharded_session import ShardedSession
-from repro.core.modes import validate_shard_count, validate_shard_threshold
+from repro.core.modes import validate_shard_count
 from repro.core.scenario import synthetic_scenario
 from repro.desire.errors import DesireError, UnknownAgentError
 from repro.experiments.campaign_bench import CONDITION_CYCLE, build_campaign_planner
@@ -197,15 +197,12 @@ class TestConfigValidation:
     def test_engine_config_rejects_bad_shard_knobs(self):
         with pytest.raises(ValueError, match="positive worker count"):
             EngineConfig(shards=0)
-        with pytest.raises(ValueError, match="positive population size"):
-            EngineConfig(shard_threshold=0)
         with pytest.raises(ValueError, match="FaultPlan"):
             EngineConfig(fault_plan={"seed": 1})
 
     def test_validators_accept_canonical_values(self):
         assert validate_shard_count(None) is None
         assert validate_shard_count(4) == 4
-        assert validate_shard_threshold(100) == 100
 
     def test_fault_plan_validates_rates_and_budgets(self):
         with pytest.raises(ValueError, match="message_drop_rate"):

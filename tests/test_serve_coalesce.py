@@ -19,7 +19,7 @@ from repro.serve.coalesce import (
     request_coalesces,
     run_solo,
 )
-from repro.serve.schemas import ServeRequest, result_payload
+from repro.serve.schemas import RequestValidationError, ServeRequest, result_payload
 
 
 def _request(mapping: dict) -> ServeRequest:
@@ -133,6 +133,18 @@ class TestRoutingAndSolos:
         # The object solo streams progress off the bus counters.
         rounds = [event for event in outcome.events if event["event"] == "round"]
         assert rounds and rounds[-1]["messages_sent"] > 0
+
+    def test_large_auto_request_coalesces(self):
+        # Auto routes a qualifying scenario to the vectorized path at any
+        # size and worker count, so routing on the spec says "coalesce" too.
+        request = _request({
+            "scenario": {"households": 5000, "seed": 0},
+            "config": {"shards": 2},
+        })
+        assert request_coalesces(request)
+        # The former shard threshold is no longer a config key.
+        with pytest.raises(RequestValidationError, match="'shard_threshold'"):
+            _request({"config": {"shard_threshold": 10}})
 
     def test_full_society_config_routes_solo(self):
         request = _request({
