@@ -382,7 +382,10 @@ class CustomerPopulation:
         validate_planning_mode(planning)
         validate_materialise_mode(materialise)
         random = RandomSource(config.seed, name="population")
-        library = library or standard_appliance_library()
+        if library is None:
+            library = standard_appliance_library()
+        elif not len(library):
+            raise ValueError("a synthetic population needs a non-empty appliance library")
         households = [
             Household.generate(f"h{i:04d}", random.spawn(f"household_{i}"), library,
                                config.slots_per_day)

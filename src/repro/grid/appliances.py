@@ -152,6 +152,20 @@ class Appliance:
         return profile.energy_in(interval) * self.flexibility
 
 
+#: Ownership probability of a one-person household, per appliance category;
+#: :meth:`ApplianceLibrary.sample_ownership` adds a household-size bonus.
+_BASE_OWNERSHIP_PROBABILITY = {
+    ApplianceCategory.SPACE_HEATING: 0.85,
+    ApplianceCategory.WATER_HEATING: 0.9,
+    ApplianceCategory.WHITE_GOODS: 0.7,
+    ApplianceCategory.COLD_APPLIANCES: 1.0,
+    ApplianceCategory.COOKING: 0.95,
+    ApplianceCategory.LIGHTING: 1.0,
+    ApplianceCategory.ENTERTAINMENT: 0.9,
+    ApplianceCategory.OTHER: 0.6,
+}
+
+
 class ApplianceLibrary:
     """A catalogue of appliance types households can own."""
 
@@ -199,18 +213,8 @@ class ApplianceLibrary:
             raise ValueError("household size must be positive")
         ownership: dict[str, float] = {}
         size_bonus = min(0.15 * (household_size - 1), 0.45)
-        base_probability = {
-            ApplianceCategory.SPACE_HEATING: 0.85,
-            ApplianceCategory.WATER_HEATING: 0.9,
-            ApplianceCategory.WHITE_GOODS: 0.7,
-            ApplianceCategory.COLD_APPLIANCES: 1.0,
-            ApplianceCategory.COOKING: 0.95,
-            ApplianceCategory.LIGHTING: 1.0,
-            ApplianceCategory.ENTERTAINMENT: 0.9,
-            ApplianceCategory.OTHER: 0.6,
-        }
         for appliance in self._appliances.values():
-            probability = min(1.0, base_probability[appliance.category] + size_bonus)
+            probability = min(1.0, _BASE_OWNERSHIP_PROBABILITY[appliance.category] + size_bonus)
             if random.boolean(probability):
                 ownership[appliance.name] = max(0.2, random.normal(1.0, 0.25))
             else:
@@ -233,24 +237,20 @@ def _evening_morning_pattern(morning: float, midday: float, evening: float, nigh
     return tuple(pattern)
 
 
-def standard_appliance_library() -> ApplianceLibrary:
-    """The default appliance catalogue used throughout the reproduction.
+_FLAT_PATTERN = tuple(1.0 for __ in range(24))
 
-    Values are representative Nordic domestic figures (electric heating is
-    common in the Swedish setting the paper describes); exact numbers matter
-    only in that they produce a realistic evening peak (Figure 1).
-    """
-    flat = tuple(1.0 for __ in range(24))
-    library = ApplianceLibrary()
-    library.add(Appliance(
+#: The standard catalogue's appliances, built and validated once per process.
+#: Appliances are frozen, so every standard library can share them.
+_STANDARD_APPLIANCES: tuple[Appliance, ...] = (
+    Appliance(
         name="electric_space_heating",
         category=ApplianceCategory.SPACE_HEATING,
         rated_power_kw=6.0,
         daily_energy_kwh=30.0,
         usage_pattern=_evening_morning_pattern(1.3, 0.9, 1.5, 1.0),
         flexibility=0.5,
-    ))
-    library.add(Appliance(
+    ),
+    Appliance(
         name="hot_water_boiler",
         category=ApplianceCategory.WATER_HEATING,
         rated_power_kw=3.0,
@@ -258,8 +258,8 @@ def standard_appliance_library() -> ApplianceLibrary:
         usage_pattern=_evening_morning_pattern(1.8, 0.6, 1.6, 0.5),
         flexibility=0.7,
         per_person=True,
-    ))
-    library.add(Appliance(
+    ),
+    Appliance(
         name="washing_machine",
         category=ApplianceCategory.WHITE_GOODS,
         rated_power_kw=2.2,
@@ -267,8 +267,8 @@ def standard_appliance_library() -> ApplianceLibrary:
         usage_pattern=_evening_morning_pattern(0.8, 0.9, 1.8, 0.1),
         flexibility=0.9,
         per_person=True,
-    ))
-    library.add(Appliance(
+    ),
+    Appliance(
         name="dishwasher",
         category=ApplianceCategory.WHITE_GOODS,
         rated_power_kw=1.8,
@@ -276,8 +276,8 @@ def standard_appliance_library() -> ApplianceLibrary:
         usage_pattern=_evening_morning_pattern(0.5, 0.4, 2.0, 0.4),
         flexibility=0.9,
         per_person=True,
-    ))
-    library.add(Appliance(
+    ),
+    Appliance(
         name="tumble_dryer",
         category=ApplianceCategory.WHITE_GOODS,
         rated_power_kw=2.5,
@@ -285,16 +285,16 @@ def standard_appliance_library() -> ApplianceLibrary:
         usage_pattern=_evening_morning_pattern(0.6, 0.8, 1.7, 0.2),
         flexibility=0.9,
         per_person=True,
-    ))
-    library.add(Appliance(
+    ),
+    Appliance(
         name="fridge_freezer",
         category=ApplianceCategory.COLD_APPLIANCES,
         rated_power_kw=0.15,
         daily_energy_kwh=2.0,
-        usage_pattern=flat,
+        usage_pattern=_FLAT_PATTERN,
         flexibility=0.2,
-    ))
-    library.add(Appliance(
+    ),
+    Appliance(
         name="electric_stove",
         category=ApplianceCategory.COOKING,
         rated_power_kw=7.0,
@@ -302,16 +302,16 @@ def standard_appliance_library() -> ApplianceLibrary:
         usage_pattern=_evening_morning_pattern(1.0, 0.5, 2.6, 0.1),
         flexibility=0.3,
         per_person=True,
-    ))
-    library.add(Appliance(
+    ),
+    Appliance(
         name="lighting",
         category=ApplianceCategory.LIGHTING,
         rated_power_kw=0.5,
         daily_energy_kwh=1.5,
         usage_pattern=_evening_morning_pattern(1.4, 0.4, 2.2, 0.5),
         flexibility=0.4,
-    ))
-    library.add(Appliance(
+    ),
+    Appliance(
         name="entertainment_electronics",
         category=ApplianceCategory.ENTERTAINMENT,
         rated_power_kw=0.4,
@@ -319,13 +319,26 @@ def standard_appliance_library() -> ApplianceLibrary:
         usage_pattern=_evening_morning_pattern(0.7, 0.5, 2.4, 0.6),
         flexibility=0.6,
         per_person=True,
-    ))
-    library.add(Appliance(
+    ),
+    Appliance(
         name="miscellaneous",
         category=ApplianceCategory.OTHER,
         rated_power_kw=0.6,
         daily_energy_kwh=1.0,
-        usage_pattern=flat,
+        usage_pattern=_FLAT_PATTERN,
         flexibility=0.5,
-    ))
-    return library
+    ),
+)
+
+
+def standard_appliance_library() -> ApplianceLibrary:
+    """The default appliance catalogue used throughout the reproduction.
+
+    Values are representative Nordic domestic figures (electric heating is
+    common in the Swedish setting the paper describes); exact numbers matter
+    only in that they produce a realistic evening peak (Figure 1).
+
+    Each call returns a fresh library (``add`` on one never reaches another)
+    over the same shared, frozen :class:`Appliance` objects.
+    """
+    return ApplianceLibrary(_STANDARD_APPLIANCES)

@@ -109,10 +109,9 @@ class HouseholdFleet:
         first = self.households[0]
         self.slots_per_day = first.slots_per_day
         self.library = first.library
-        library_names = list(self.library.names)
         library_appliances = self.library.all()
         if appliance_order is None:
-            names = library_names
+            names = self.library.names
         else:
             names = list(appliance_order)
             unknown = [name for name in names if name not in self.library]
@@ -130,10 +129,9 @@ class HouseholdFleet:
                 raise FleetIncompatibleError(
                     "all fleet households must share one profile resolution"
                 )
-            if household.library is not self.library and (
-                household.library.names != library_names
-                or [household.library.get(n) for n in library_names]
-                != library_appliances
+            if (
+                household.library is not self.library
+                and household.library.all() != library_appliances
             ):
                 raise FleetIncompatibleError(
                     "all fleet households must share one appliance library"
@@ -396,10 +394,7 @@ class BucketedFleet:
 
     def _library_token(self, library) -> int:
         for token, known in enumerate(self._libraries):
-            if library is known or (
-                library.names == known.names
-                and [library.get(name) for name in known.names] == known.all()
-            ):
+            if library is known or library.all() == known.all():
                 return token
         self._libraries.append(library)
         return len(self._libraries) - 1

@@ -19,6 +19,10 @@ from repro.grid.weather import WeatherSample
 from repro.runtime.clock import TimeInterval
 from repro.runtime.rng import RandomSource
 
+#: Household sizes (persons) and their sampling weights.
+_SIZES = (1, 2, 3, 4, 5)
+_SIZE_WEIGHTS = (0.25, 0.32, 0.18, 0.18, 0.07)
+
 
 @dataclass(frozen=True)
 class HouseholdProfile:
@@ -145,7 +149,7 @@ class Household:
     ) -> "Household":
         """Sample a realistic household."""
         library = library if library is not None else standard_appliance_library()
-        size = random.choice([1, 2, 3, 4, 5], weights=[0.25, 0.32, 0.18, 0.18, 0.07])
+        size = random.choice(_SIZES, weights=_SIZE_WEIGHTS)
         ownership = library.sample_ownership(random, size)
         comfort_weight = max(0.3, random.lognormal(0.0, 0.35))
         flexibility_scale = min(1.2, max(0.2, random.normal(0.8, 0.2)))

@@ -10,11 +10,37 @@ population decoupled: adding households does not perturb the weather.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import lru_cache
 from typing import Optional, Sequence, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
+
+
+@lru_cache(maxsize=64)
+def _weighted_cdf(weights: tuple[float, ...]) -> tuple[float, ...]:
+    """The cumulative distribution ``Generator.choice(n, p=w / w.sum())`` uses.
+
+    numpy normalises ``p`` and builds ``p.cumsum()`` divided by its last
+    entry, then maps one ``random()`` draw through ``searchsorted(side=
+    "right")``; memoising that CDF per weight vector makes a weighted pick
+    one uniform draw plus a bisection, draw-for-draw identical to numpy.
+    Invalid vectors raise :class:`ValueError`, which ``lru_cache`` never
+    stores.
+    """
+    weight_array = np.asarray(weights, dtype=float)
+    if np.any(weight_array < 0):
+        raise ValueError("weights must be non-negative")
+    total = float(weight_array.sum())
+    if not np.isfinite(total):
+        raise ValueError("weights must be finite")
+    if total <= 0:
+        raise ValueError("weights must not all be zero")
+    cdf = (weight_array / total).cumsum()
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
 
 
 class RandomSource:
@@ -110,16 +136,10 @@ class RandomSource:
         if weights is None:
             index = int(self._generator.integers(0, len(options)))
             return options[index]
-        weight_array = np.asarray(weights, dtype=float)
-        if len(weight_array) != len(options):
+        if len(weights) != len(options):
             raise ValueError("weights must have the same length as options")
-        if np.any(weight_array < 0):
-            raise ValueError("weights must be non-negative")
-        total = float(weight_array.sum())
-        if total <= 0:
-            raise ValueError("weights must not all be zero")
-        index = int(self._generator.choice(len(options), p=weight_array / total))
-        return options[index]
+        cdf = _weighted_cdf(tuple(weights))
+        return options[bisect_right(cdf, self._generator.random())]
 
     def shuffled(self, items: Sequence[T]) -> list[T]:
         """Return a shuffled copy of ``items``."""

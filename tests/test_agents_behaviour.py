@@ -10,7 +10,7 @@ from repro.agents.population import CustomerPopulation, PopulationConfig
 from repro.agents.producer_agent import ProducerAgent
 from repro.agents.resource_consumer_agent import ResourceConsumerAgent
 from repro.agents.utility_agent import NegotiationPhase, UtilityAgent
-from repro.grid.appliances import standard_appliance_library
+from repro.grid.appliances import ApplianceLibrary, standard_appliance_library
 from repro.grid.household import Household
 from repro.grid.production import ProductionModel
 from repro.grid.weather import WeatherCondition, WeatherSample
@@ -253,6 +253,33 @@ class TestPopulation:
         b = CustomerPopulation.synthetic(PopulationConfig(num_households=8, seed=5), weather=cold_day)
         assert a.normal_use == b.normal_use
         assert [s.predicted_use for s in a.specs] == [s.predicted_use for s in b.specs]
+
+    @pytest.mark.parametrize("planning", ["columnar", "scalar"])
+    def test_synthetic_population_honours_an_explicit_library(self, cold_day, planning):
+        standard = standard_appliance_library()
+        heating_only = ApplianceLibrary(
+            [standard.get("electric_space_heating"), standard.get("hot_water_boiler")]
+        )
+        population = CustomerPopulation.synthetic(
+            PopulationConfig(num_households=6, seed=3),
+            weather=cold_day,
+            library=heating_only,
+            planning=planning,
+        )
+        assert len(population.households) == 6
+        for household in population.households:
+            assert household.library is heating_only
+            assert list(household.profile.ownership) == heating_only.names
+
+    def test_synthetic_population_rejects_an_empty_library(self, cold_day):
+        # An empty library is falsy; it must be refused, never swapped for
+        # the standard catalogue.
+        with pytest.raises(ValueError, match="non-empty appliance library"):
+            CustomerPopulation.synthetic(
+                PopulationConfig(num_households=4, seed=3),
+                weather=cold_day,
+                library=ApplianceLibrary(),
+            )
 
     def test_calibrated_population_validation(self):
         from repro.negotiation.reward_table import CutdownRewardRequirements

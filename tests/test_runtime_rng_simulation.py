@@ -86,6 +86,72 @@ class TestRandomSource:
         assert items == [1, 2, 3, 4, 5]
 
 
+class TestWeightedChoiceMatchesNumpy:
+    """``choice(..., weights=w)`` is ``Generator.choice(len(w), p=w / w.sum())``.
+
+    Every generated town depends on this equality; if a numpy upgrade changes
+    its weighted-choice algorithm these tests fail loudly.
+    """
+
+    WEIGHTS = [
+        (0.25, 0.32, 0.18, 0.18, 0.07),
+        (3.0, 1.0, 0.0, 5.0),
+        (0.0, 2.0, 0.0, 0.0, 7.5, 0.0),
+        (1e-3, 1e3, 1.0),
+        (2.0,),
+    ]
+    DRAWS = 2000
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    def test_draw_for_draw_equal_to_numpy(self, seed, weights):
+        source = RandomSource(seed)
+        reference = np.random.default_rng(np.random.SeedSequence(seed))
+        weight_array = np.asarray(weights, dtype=float)
+        p = weight_array / float(weight_array.sum())
+        options = [f"option{i}" for i in range(len(weights))]
+        picks = [source.choice(options, weights=weights) for _ in range(self.DRAWS)]
+        expected = [
+            options[int(reference.choice(len(weights), p=p))] for _ in range(self.DRAWS)
+        ]
+        assert picks == expected
+        # One uniform per pick: the streams stay in lockstep afterwards.
+        assert source.state() == reference.bit_generator.state
+
+    def test_interleaved_with_other_draws_and_array_weights(self):
+        source = RandomSource(3)
+        reference = np.random.default_rng(np.random.SeedSequence(3))
+        weights = np.array([5.0, 0.0, 1.0, 2.0])
+        for _ in range(500):
+            assert source.choice("abcd", weights=weights) == "abcd"[
+                int(reference.choice(4, p=weights / weights.sum()))
+            ]
+            assert source.normal(1.0, 0.25) == float(reference.normal(1.0, 0.25))
+
+    @pytest.mark.parametrize(
+        "options, weights",
+        [
+            ([], [1.0]),
+            (["a", "b"], [1.0]),
+            (["a", "b"], [1.0, 1.0, 1.0]),
+            (["a", "b"], [-1.0, 2.0]),
+            (["a", "b"], [0.0, 0.0]),
+            (["a", "b"], [float("nan"), 1.0]),
+            (["a", "b"], [float("inf"), 1.0]),
+            (["a", "b"], [float("-inf"), 1.0]),
+            (["a", "b"], [1e308, 1e308]),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_invalid_choices_raise_every_time(self, options, weights):
+        source = RandomSource(0)
+        state = source.state()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                source.choice(options, weights=weights)
+        assert source.state() == state
+
+
 class Recorder:
     """Minimal steppable participant used to test the simulation driver."""
 
