@@ -9,7 +9,18 @@ import pytest
 from repro.experiments.scalability import run_scalability, write_benchmark_json
 
 
-def test_scalability_sweep(benchmark, write_report):
+def _write_report(directory, name: str, content: str) -> None:
+    """Render the sweep to a scratch report.
+
+    The sweeps' wall-clock columns change on every run, so unlike the other
+    benchmark reports these are not written to ``benchmarks/reports/``: a
+    test run leaves the tree clean.  ``benchmarks/run_bench.py`` writes the
+    recorded ``E9_scalability_fast.txt``.
+    """
+    (directory / f"{name}.txt").write_text(content + "\n", encoding="utf-8")
+
+
+def test_scalability_sweep(benchmark, tmp_path):
     result = benchmark.pedantic(
         run_scalability,
         kwargs={"sizes": (10, 25, 50, 100, 200), "seed": 0},
@@ -25,10 +36,10 @@ def test_scalability_sweep(benchmark, write_report):
     assert result.messages_scale_linearly(tolerance=1.0)
     # Every population size still achieves a peak reduction.
     assert all(row["peak_reduction_fraction"] > 0 for row in rows)
-    write_report("E9_scalability", result.render())
+    _write_report(tmp_path, "E9_scalability", result.render())
 
 
-def test_fast_scalability_sweep(write_report, tmp_path):
+def test_fast_scalability_sweep(tmp_path):
     """The vectorized fast path sweeps an order of magnitude further than the
     object path and reports the same negotiation trajectory at shared sizes."""
     result = run_scalability(sizes=(10, 50, 200, 1000), seed=0, fast=True)
@@ -40,10 +51,10 @@ def test_fast_scalability_sweep(write_report, tmp_path):
     # The machine-readable trajectory artefact round-trips.
     payload_path = write_benchmark_json(tmp_path / "bench.json", result, seed=0)
     assert payload_path.exists()
-    write_report("E9_scalability_fast_ci", result.render())
+    _write_report(tmp_path, "E9_scalability_fast_ci", result.render())
 
 
-def test_sharded_scalability_sweep(write_report, tmp_path):
+def test_sharded_scalability_sweep(tmp_path):
     """The sharded runtime sweeps the same trajectory as the fast path and
     the JSON artefact records its shard count and the speedup entry."""
     fast = run_scalability(sizes=(50, 200), seed=0, fast=True)
@@ -63,7 +74,7 @@ def test_sharded_scalability_sweep(write_report, tmp_path):
     payload = json.loads(payload_path.read_text(encoding="utf-8"))
     assert payload["sharded_path"]["shards"] == 2
     assert payload["sharded_speedup_at_shared_max"]["num_households"] == 200
-    write_report("E9_scalability_sharded_ci", sharded.render())
+    _write_report(tmp_path, "E9_scalability_sharded_ci", sharded.render())
 
 
 @pytest.mark.perf_smoke

@@ -173,10 +173,10 @@ class CustomerPreferenceModel:
         attitude); either way the household's own comfort weight multiplies in
         exactly as in the scalar path.
         """
+        # The feasible cut-downs first: their saveable-energy pass also builds
+        # the weather's demand matrix, which energy_in then reads from cache.
+        max_feasible = fleet.max_cutdown_fractions(interval, weather)
         energies = fleet.energy_in(interval, weather)
-        max_feasible = fleet.max_cutdown_fractions(
-            interval, weather, demand_energies=energies
-        )
         if comfort_weights is None:
             base = np.full(len(fleet), self.comfort_weight)
         else:

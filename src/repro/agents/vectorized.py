@@ -137,6 +137,7 @@ class VectorizedPopulation:
 
     def _reset_kernel_cache(self) -> None:
         self._required_rewards_cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._grid_cache: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._interpolation_cache: dict[bytes, np.ndarray] = {}
         self.kernel_cache_hits = 0
         self.kernel_cache_misses = 0
@@ -427,8 +428,11 @@ class VectorizedPopulation:
 
         The triplet is cached per table content (the negotiation announces one
         table per round), so the bidding kernels, acceptance masks and any
-        re-evaluation of the same round's table share one computation.  Cached
-        arrays are frozen read-only; kernels treat them as immutable inputs.
+        re-evaluation of the same round's table share one computation.  Only
+        the offered rewards are per table: the grid and the required matrix
+        come from :meth:`_grid_columns`, shared by every table announced on
+        that grid.  Cached arrays are frozen read-only; kernels treat them as
+        immutable inputs.
         """
         key = ("required", tuple(sorted(table.entries.items())))
         cached = self._required_rewards_cache.get(key)
@@ -436,16 +440,32 @@ class VectorizedPopulation:
             self.kernel_cache_hits += 1
             return cached
         self.kernel_cache_misses += 1
-        triplet = self._compute_required_rewards(table)
-        for array in triplet:
-            array.setflags(write=False)
-        return self._cache_store(self._required_rewards_cache, key, triplet)
-
-    def _compute_required_rewards(self, table: RewardTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        assert self.requirement_grid is not None and self.requirement_matrix is not None
         table_cutdowns = table.cutdowns()
-        table_grid = np.asarray(table_cutdowns, dtype=float)
+        table_grid, required, __ = self._grid_columns(
+            np.asarray(table_cutdowns, dtype=float)
+        )
         offered = np.array([table.entries[c] for c in table_cutdowns], dtype=float)
+        offered.setflags(write=False)
+        return self._cache_store(
+            self._required_rewards_cache, key, (table_grid, offered, required)
+        )
+
+    def _grid_columns(self, table_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(table_grid, required_matrix, feasible_mask)`` for an announced grid.
+
+        Everything about a round's table that does not depend on its rewards:
+        the ``(N, G)`` gather of required rewards onto the table's cut-downs
+        and the mask of cut-downs each customer can physically deliver.  A
+        negotiation re-announces one grid with new rewards every round, so
+        this is computed once per grid (not counted in
+        :meth:`kernel_cache_stats`, whose counters are per table) and each
+        round only compares its offers.
+        """
+        key = table_grid.tobytes()
+        cached = self._grid_cache.get(key)
+        if cached is not None:
+            return cached
+        assert self.requirement_grid is not None and self.requirement_matrix is not None
         grid_size = self.requirement_grid.shape[0]
         columns = np.searchsorted(self.requirement_grid, table_grid)
         clamped = np.minimum(columns, grid_size - 1)
@@ -456,13 +476,17 @@ class VectorizedPopulation:
             np.inf,
         )
         required[:, table_grid == 0.0] = 0.0
-        return table_grid, offered, required
+        feasible = table_grid[None, :] <= self.max_feasible_cutdowns[:, None] + 1e-12
+        entry = (table_grid, required, feasible)
+        for array in entry:
+            array.setflags(write=False)
+        return self._cache_store(self._grid_cache, key, entry)
 
     def _acceptable_mask(
         self, table_grid: np.ndarray, offered: np.ndarray, required: np.ndarray
     ) -> np.ndarray:
         """Mirror of ``CutdownRewardRequirements.is_acceptable`` per cell."""
-        feasible = table_grid[None, :] <= self.max_feasible_cutdowns[:, None] + 1e-12
+        __, __, feasible = self._grid_columns(table_grid)
         return feasible & (offered[None, :] >= required)
 
     def highest_acceptable_cutdowns(self, table: RewardTable) -> np.ndarray:

@@ -17,6 +17,16 @@ are packed into numpy arrays once, and the per-household quantities come out
 of batched kernels — ``demand_profiles``, ``energy_in``, ``saveable_energy``
 and ``max_cutdown_fractions``.
 
+**One pass per weather.**  All four rest on one streamed pass over the
+appliances: each appliance's slot powers for every household are computed
+into one reused scratch buffer and, while they are there, added to the
+demand matrix and reduced to the household's saveable energy in the planning
+interval.  The
+demand matrix is cached per heating factor, so a planning day costs one pass
+for its weather; only when the weather's demand is already cached (a repeated
+heating factor) does saveable energy stream again, and then over the
+interval's slots alone.
+
 **Exactness contract.**  Every kernel mirrors the scalar code in
 :class:`~repro.grid.household.Household` and
 :class:`~repro.grid.appliances.Appliance` operation-for-operation (same float
@@ -69,16 +79,147 @@ class FleetIncompatibleError(ValueError):
     """The households cannot be packed into one columnar fleet."""
 
 
-def _interval_slot_indices(interval: TimeInterval, slots_per_day: int) -> list[int]:
+def _interval_block(interval: TimeInterval, slots_per_day: int) -> slice:
+    """The interval's slots as one contiguous slice of slot indices."""
     if interval.slots_per_day != slots_per_day:
         raise ValueError(
             f"interval resolution {interval.slots_per_day} does not match "
             f"fleet resolution {slots_per_day}"
         )
-    return [slot.index for slot in interval.slots()]
+    return slice(interval.start.index, interval.end.index + 1)
 
 
-class HouseholdFleet:
+def _interval_energy(slots: np.ndarray, slot_hours: float) -> np.ndarray:
+    """Per-household energy of a slot-major ``(k, N)`` block of slot powers.
+
+    :meth:`LoadProfile.energy_in` sums the interval's slots left to right and
+    then multiplies by the slot length; so does this, one slot row at a time.
+    """
+    total = np.zeros(slots.shape[1])
+    for row in slots:
+        total += row
+    return total * slot_hours
+
+
+class _FleetKernels:
+    """The planning kernels both fleet layouts share.
+
+    Everything rides one primitive, ``_pass(weather, block)``: the weather's
+    ``(N, S)`` demand matrix (cached per heating factor) and, when ``block``
+    names an interval's slots, the households' saveable energy in it — both
+    out of *one* streamed pass over the appliances when the demand is not
+    cached yet.  Subclasses supply ``_stream``, the pass itself.
+    """
+
+    households: list[Household]
+    slots_per_day: int
+    _demand_cache: dict[float, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.households)
+
+    @staticmethod
+    def heating_factor(weather: Optional[WeatherSample]) -> float:
+        return weather.heating_factor if weather is not None else 1.0
+
+    def _stream(
+        self, weather: Optional[WeatherSample], block: Optional[slice],
+        demand: Optional[np.ndarray],
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Build ``demand`` when it is ``None``, and ``block``'s saveable energy."""
+        raise NotImplementedError
+
+    def _pass(
+        self, weather: Optional[WeatherSample], block: Optional[slice] = None
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        factor = self.heating_factor(weather)
+        cached = self._demand_cache.get(factor)
+        if cached is not None and block is None:
+            return cached, None
+        demand, saveable = self._stream(weather, block, cached)
+        if cached is None:
+            demand.setflags(write=False)
+            if len(self._demand_cache) >= _WEATHER_CACHE_SIZE:
+                self._demand_cache.pop(next(iter(self._demand_cache)))
+            self._demand_cache[factor] = demand
+        return demand, saveable
+
+    def demand_profiles(self, weather: Optional[WeatherSample] = None) -> np.ndarray:
+        """``(N, S)`` read-only matrix of per-household daily demand (kW per slot).
+
+        Row ``i`` is bit-identical to
+        ``households[i].demand_profile(weather).as_array()``.
+        """
+        return self._pass(weather)[0]
+
+    def demand_and_saveable(
+        self, interval: TimeInterval, weather: Optional[WeatherSample] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The demand matrix and the ``(N,)`` saveable energy (kWh) in ``interval``.
+
+        One streamed pass over the appliances yields both when the weather's
+        demand is not cached yet; with the demand cached, only the interval's
+        slots are streamed.  Either way the results are bit-identical to
+        :meth:`demand_profiles` and the scalar :meth:`Household.saveable_energy`.
+        """
+        return self._pass(weather, _interval_block(interval, self.slots_per_day))
+
+    def aggregate_demand(self, weather: Optional[WeatherSample] = None) -> LoadProfile:
+        """Population aggregate profile; equals summing the per-household profiles."""
+        return LoadProfile.from_array(self.demand_profiles(weather).sum(axis=0))
+
+    def energy_in(
+        self, interval: TimeInterval, weather: Optional[WeatherSample] = None
+    ) -> np.ndarray:
+        """Per-household energy (kWh) used during the interval (``(N,)``)."""
+        block = _interval_block(interval, self.slots_per_day)
+        return _interval_energy(
+            self.demand_profiles(weather)[:, block].T, 24.0 / self.slots_per_day
+        )
+
+    def average_in(
+        self, interval: TimeInterval, weather: Optional[WeatherSample] = None
+    ) -> np.ndarray:
+        """Per-household average demand (kW) during the interval (``(N,)``)."""
+        _interval_block(interval, self.slots_per_day)  # resolution check
+        return matrix_average_in(self.demand_profiles(weather), interval)
+
+    def saveable_energy(
+        self, interval: TimeInterval, weather: Optional[WeatherSample] = None
+    ) -> np.ndarray:
+        """Per-household saveable energy (kWh) in the interval (``(N,)``).
+
+        What the Resource Consumer Agents report upward: each appliance's
+        interval energy times its flexibility, scaled by the household's
+        flexibility scale, accumulated in library order like the scalar
+        :meth:`Household.saveable_energy`.
+        """
+        return self.demand_and_saveable(interval, weather)[1]
+
+    def max_cutdown_fractions(
+        self,
+        interval: TimeInterval,
+        weather: Optional[WeatherSample] = None,
+        demand_energies: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Largest physically implementable cut-down fraction per household.
+
+        ``demand_energies`` lets callers that already hold
+        ``energy_in(interval, weather)`` skip recomputing it.
+        """
+        # Saveable energy first: its pass also caches the demand energy_in reads.
+        saveable = self.saveable_energy(interval, weather)
+        demand = (
+            demand_energies
+            if demand_energies is not None
+            else self.energy_in(interval, weather)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fractions = np.minimum(1.0, saveable / demand)
+        return np.where(demand > 0, fractions, 0.0)
+
+
+class HouseholdFleet(_FleetKernels):
     """All planning-relevant attributes of a household population, as arrays.
 
     Attributes
@@ -203,30 +344,28 @@ class HouseholdFleet:
         #: FIFO-bounded.
         self._demand_cache: dict[float, np.ndarray] = {}
 
-    # -- basic views -------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.households)
-
     @property
     def num_appliances(self) -> int:
         return len(self._appliances)
 
-    @staticmethod
-    def heating_factor(weather: Optional[WeatherSample]) -> float:
-        return weather.heating_factor if weather is not None else 1.0
-
     # -- kernels -----------------------------------------------------------------
 
-    def _appliance_powers(self, heating_factor: float):
-        """Per-appliance ``(N, S)`` power matrices, mirroring ``daily_profile``.
+    def _appliance_powers(self, heating_factor: float, block: Optional[slice] = None):
+        """Per-appliance slot powers, mirroring ``daily_profile``.
 
-        A generator: callers accumulate one appliance at a time, so only one
-        ``(N, S)`` intermediate is ever alive — the full ``A`` matrices at
+        A generator yielding ``(column, power)`` with ``power`` the appliance's
+        slot-major ``(S, N)`` power matrix — or, given ``block``, only those
+        slots' rows (every slot's power is computed independently, so a block
+        carries the same bits as the full matrix's rows).  Slot-major keeps
+        every broadcast's inner loop running over the households.  The
+        yielded array is one scratch buffer refilled in place for each
+        appliance: consume it before advancing.  The full ``A`` matrices at
         once would cost hundreds of MB for a 100k-household fleet, which is
         why they are streamed rather than cached.
         """
         slot_hours = 24.0 / self.slots_per_day
+        weights = self._slot_weights if block is None else self._slot_weights[:, block]
+        power = np.empty((weights.shape[1], len(self.households)))
         for column in range(self.num_appliances):
             # Same multiplication order as Appliance.daily_profile: base
             # energy x ownership scale, then x household size (per-person
@@ -236,101 +375,38 @@ class HouseholdFleet:
                 energy = energy * self.sizes
             if self._heating[column]:
                 energy = energy * heating_factor
-            per_slot = self._slot_weights[column][None, :] * energy[:, None]
-            power = per_slot / slot_hours
-            yield column, np.minimum(power, self._caps[column][:, None])
+            np.multiply(weights[column][:, None], energy[None, :], out=power)
+            np.divide(power, slot_hours, out=power)
+            np.minimum(power, self._caps[column][None, :], out=power)
+            yield column, power
 
-    def demand_profiles(self, weather: Optional[WeatherSample] = None) -> np.ndarray:
-        """``(N, S)`` matrix of per-household daily demand (kW per slot).
-
-        Row ``i`` is bit-identical to
-        ``households[i].demand_profile(weather).as_array()``.
-        """
+    def _stream(
+        self, weather: Optional[WeatherSample], block: Optional[slice],
+        demand: Optional[np.ndarray],
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
         factor = self.heating_factor(weather)
-        cached = self._demand_cache.get(factor)
-        if cached is not None:
-            return cached
-        total = np.zeros((len(self.households), self.slots_per_day))
-        for __, power in self._appliance_powers(factor):
-            # Sequential accumulation in library order matches the scalar
-            # LoadProfile.aggregate over owned appliances (adding an unowned
-            # appliance's exact 0.0 contribution preserves every bit).
-            total = total + power
-        total.setflags(write=False)
-        if len(self._demand_cache) >= _WEATHER_CACHE_SIZE:
-            self._demand_cache.pop(next(iter(self._demand_cache)))
-        self._demand_cache[factor] = total
-        return total
-
-    def aggregate_demand(self, weather: Optional[WeatherSample] = None) -> LoadProfile:
-        """Population aggregate profile; equals summing the per-household profiles."""
-        return LoadProfile.from_array(self.demand_profiles(weather).sum(axis=0))
-
-    @staticmethod
-    def _interval_energy(matrix: np.ndarray, indices: Sequence[int], slot_hours: float) -> np.ndarray:
-        """Per-row interval energy with the scalar path's summation order."""
-        total = np.zeros(matrix.shape[0])
-        for index in indices:
-            total = total + matrix[:, index]
-        return total * slot_hours
-
-    def energy_in(
-        self, interval: TimeInterval, weather: Optional[WeatherSample] = None
-    ) -> np.ndarray:
-        """Per-household energy (kWh) used during the interval (``(N,)``)."""
-        indices = _interval_slot_indices(interval, self.slots_per_day)
         slot_hours = 24.0 / self.slots_per_day
-        return self._interval_energy(self.demand_profiles(weather), indices, slot_hours)
-
-    def average_in(
-        self, interval: TimeInterval, weather: Optional[WeatherSample] = None
-    ) -> np.ndarray:
-        """Per-household average demand (kW) during the interval (``(N,)``)."""
-        _interval_slot_indices(interval, self.slots_per_day)  # resolution check
-        return matrix_average_in(self.demand_profiles(weather), interval)
-
-    def saveable_energy(
-        self, interval: TimeInterval, weather: Optional[WeatherSample] = None
-    ) -> np.ndarray:
-        """Per-household saveable energy (kWh) in the interval (``(N,)``).
-
-        What the Resource Consumer Agents report upward: each appliance's
-        interval energy times its flexibility, scaled by the household's
-        flexibility scale, accumulated in library order like the scalar
-        :meth:`Household.saveable_energy`.
-        """
-        indices = _interval_slot_indices(interval, self.slots_per_day)
-        slot_hours = 24.0 / self.slots_per_day
-        factor = self.heating_factor(weather)
-        total = np.zeros(len(self.households))
-        for column, power in self._appliance_powers(factor):
-            energy = self._interval_energy(power, indices, slot_hours)
-            total = total + (energy * self._flexibilities[column]) * self.flexibility_scales
-        return total
-
-    def max_cutdown_fractions(
-        self,
-        interval: TimeInterval,
-        weather: Optional[WeatherSample] = None,
-        demand_energies: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Largest physically implementable cut-down fraction per household.
-
-        ``demand_energies`` lets callers that already hold
-        ``energy_in(interval, weather)`` skip recomputing it.
-        """
-        demand = (
-            demand_energies
-            if demand_energies is not None
-            else self.energy_in(interval, weather)
-        )
-        saveable = self.saveable_energy(interval, weather)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fractions = np.minimum(1.0, saveable / demand)
-        return np.where(demand > 0, fractions, 0.0)
+        saveable = None if block is None else np.zeros(len(self.households))
+        fresh = demand is None
+        if fresh:
+            by_slot = np.zeros((self.slots_per_day, len(self.households)))
+        # With the demand cached, only the interval's slots are streamed.
+        for column, power in self._appliance_powers(factor, None if fresh else block):
+            if fresh:
+                # Sequential accumulation in library order matches the scalar
+                # LoadProfile.aggregate over owned appliances (adding an
+                # unowned appliance's exact 0.0 contribution preserves every
+                # bit).
+                by_slot += power
+            if saveable is not None:
+                energy = _interval_energy(power[block] if fresh else power, slot_hours)
+                saveable += (energy * self._flexibilities[column]) * self.flexibility_scales
+        if fresh:
+            demand = np.ascontiguousarray(by_slot.T)
+        return demand, saveable
 
 
-class BucketedFleet:
+class BucketedFleet(_FleetKernels):
     """A heterogeneous population packed as per-signature sub-fleets.
 
     Households are grouped by appliance signature — their library (compared
@@ -342,8 +418,10 @@ class BucketedFleet:
     order check, and each kernel row keeps the scalar path's accumulation
     order: bucketed results are bit-identical to the per-household loop.
 
-    Kernel results are scattered back into population order, so the class
-    exposes the same surface as :class:`HouseholdFleet` (``demand_profiles``,
+    Each bucket's streamed pass is scattered back into population order —
+    demand matrix and saveable energy alike — and the interval kernels run on
+    those population-order arrays, so the class exposes the same surface as
+    :class:`HouseholdFleet` (``demand_profiles``, ``demand_and_saveable``,
     ``energy_in``, ``average_in``, ``saveable_energy``,
     ``max_cutdown_fractions``, ``aggregate_demand`` and the per-household
     attribute vectors) and is a drop-in replacement for planning callers.
@@ -399,73 +477,28 @@ class BucketedFleet:
         self._libraries.append(library)
         return len(self._libraries) - 1
 
-    # -- basic views -------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.households)
-
     @property
     def num_buckets(self) -> int:
         return len(self.buckets)
 
-    heating_factor = staticmethod(HouseholdFleet.heating_factor)
-
     # -- kernels -----------------------------------------------------------------
 
-    def _scatter(self, kernel_name: str, *args, **kwargs) -> np.ndarray:
-        """Run a per-bucket ``(n,)`` kernel and scatter rows into place."""
-        out = np.zeros(len(self.households))
+    def _stream(
+        self, weather: Optional[WeatherSample], block: Optional[slice],
+        demand: Optional[np.ndarray],
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Run each bucket's pass and scatter both outputs into population order."""
+        fresh = demand is None
+        if fresh:
+            demand = np.zeros((len(self.households), self.slots_per_day))
+        saveable = None if block is None else np.zeros(len(self.households))
         for rows, bucket in self.buckets:
-            out[rows] = getattr(bucket, kernel_name)(*args, **kwargs)
-        return out
-
-    def demand_profiles(self, weather: Optional[WeatherSample] = None) -> np.ndarray:
-        """``(N, S)`` demand matrix in population order (rows bit-identical
-        to each household's scalar ``demand_profile``)."""
-        factor = self.heating_factor(weather)
-        cached = self._demand_cache.get(factor)
-        if cached is not None:
-            return cached
-        total = np.zeros((len(self.households), self.slots_per_day))
-        for rows, bucket in self.buckets:
-            total[rows] = bucket.demand_profiles(weather)
-        total.setflags(write=False)
-        if len(self._demand_cache) >= _WEATHER_CACHE_SIZE:
-            self._demand_cache.pop(next(iter(self._demand_cache)))
-        self._demand_cache[factor] = total
-        return total
-
-    def aggregate_demand(self, weather: Optional[WeatherSample] = None) -> LoadProfile:
-        return LoadProfile.from_array(self.demand_profiles(weather).sum(axis=0))
-
-    def energy_in(
-        self, interval: TimeInterval, weather: Optional[WeatherSample] = None
-    ) -> np.ndarray:
-        return self._scatter("energy_in", interval, weather)
-
-    def average_in(
-        self, interval: TimeInterval, weather: Optional[WeatherSample] = None
-    ) -> np.ndarray:
-        return self._scatter("average_in", interval, weather)
-
-    def saveable_energy(
-        self, interval: TimeInterval, weather: Optional[WeatherSample] = None
-    ) -> np.ndarray:
-        return self._scatter("saveable_energy", interval, weather)
-
-    def max_cutdown_fractions(
-        self,
-        interval: TimeInterval,
-        weather: Optional[WeatherSample] = None,
-        demand_energies: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        out = np.zeros(len(self.households))
-        for rows, bucket in self.buckets:
-            sliced = demand_energies[rows] if demand_energies is not None else None
-            out[rows] = bucket.max_cutdown_fractions(
-                interval, weather, demand_energies=sliced
-            )
-        return out
+            bucket_demand, bucket_saveable = bucket._pass(weather, block)
+            if fresh:
+                demand[rows] = bucket_demand
+            if saveable is not None:
+                saveable[rows] = bucket_saveable
+        return demand, saveable
 
 
 #: Either columnar layout — what :func:`pack_fleet` returns.  The two share

@@ -239,11 +239,21 @@ class ConsumptionPredictor:
         if self._num_days == 0:
             raise ValueError("cannot predict without any observed history")
         weights = self._weights()
-        history = self._chronological_history()
-        matrix = np.average(history, axis=0, weights=weights)
+        capacity = self._buffer.shape[0]
+        rows = [(self._start + offset) % capacity for offset in range(self._num_days)]
+        # np.average(history, axis=0, weights=weights), streamed: its axis-0
+        # reduction adds the weighted days oldest first, and so does this loop,
+        # so the result is bit-identical without np.average's two (D, N, S)
+        # temporaries (the unwrapped history and its weighted copy).
+        matrix = self._buffer[rows[0]] * weights[0]
+        term = np.empty_like(matrix)
+        for row, weight in zip(rows[1:], weights[1:]):
+            np.multiply(self._buffer[row], weight, out=term)
+            matrix += term
+        matrix /= weights.sum()
         adjustment = self._weather_adjustment(forecast_weather)
         if adjustment != 1.0:
-            matrix = matrix * adjustment
+            matrix *= adjustment
         matrix.setflags(write=False)
         aggregate = LoadProfile.from_array(matrix.sum(axis=0))
         return FleetPrediction(

@@ -7,6 +7,8 @@ guarantee (and hence campaign determinism across planning modes) rests on it.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -454,3 +456,102 @@ class TestBucketedFleet:
         model = DemandModel(mixed_households[:3] + [odd], RandomSource(5, "d"))
         assert model._fleet is None
         assert "resolution" in model.fallback_reason
+
+
+@pytest.fixture(params=["single", "bucketed"])
+def layout(request, households, mixed_households):
+    """A fresh fleet (cold demand cache) of either layout, with its households."""
+    if request.param == "single":
+        return HouseholdFleet(households), households
+    return BucketedFleet(mixed_households), mixed_households
+
+
+def _spy_on_passes(calls: list):
+    """Patch ``HouseholdFleet._appliance_powers`` to log ``(heating factor, block)``."""
+    original = HouseholdFleet._appliance_powers
+
+    def spy(self, heating_factor, block=None):
+        calls.append((heating_factor, block))
+        return original(self, heating_factor, block)
+
+    return mock.patch.object(HouseholdFleet, "_appliance_powers", spy)
+
+
+class TestFusedPass:
+    """``demand_and_saveable``: demand matrix and saveable energy from one pass."""
+
+    @pytest.mark.parametrize("hours", [(0, 24), (16, 21)], ids=["whole_day", "evening"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold_cache", "warm_cache"])
+    def test_bit_identical_to_scalar(self, layout, weather, hours, warm):
+        fleet, members = layout
+        interval = TimeInterval.from_hours(*hours)
+        precomputed = fleet.demand_profiles(weather) if warm else None
+        demand, saveable = fleet.demand_and_saveable(interval, weather)
+        if warm:
+            assert demand is precomputed
+        energies = fleet.energy_in(interval, weather)
+        fractions = fleet.max_cutdown_fractions(interval, weather)
+        for row, household in enumerate(members):
+            profile = household.demand_profile(weather)
+            assert np.array_equal(demand[row], profile.as_array())
+            assert energies[row] == profile.energy_in(interval)
+            assert saveable[row] == household.saveable_energy(interval, weather)
+            assert fractions[row] == household.max_cutdown_fraction(interval, weather)
+
+    def test_cached_demand_is_read_only_and_matches_demand_profiles(
+        self, layout, weather, interval
+    ):
+        fleet, members = layout
+        demand, __ = fleet.demand_and_saveable(interval, weather)
+        assert fleet.demand_profiles(weather) is demand
+        assert not demand.flags.writeable
+        with pytest.raises(ValueError):
+            demand[0, 0] = 1.0
+        separately = type(fleet)(members).demand_profiles(weather)
+        assert np.array_equal(demand, separately)
+
+    def test_cold_cache_streams_once_warm_cache_streams_the_interval(
+        self, households, interval
+    ):
+        fleet = HouseholdFleet(households)
+        calls: list = []
+        with _spy_on_passes(calls):
+            fleet.saveable_energy(interval)
+            fleet.energy_in(interval)
+            assert calls == [(1.0, None)]
+            # Same weather again: demand is cached, only the interval streams.
+            fleet.saveable_energy(interval)
+        assert calls[1] == (1.0, slice(16, 21))
+
+
+@pytest.mark.perf_smoke
+def test_campaign_streams_each_weather_once():
+    """One full-width appliance pass per distinct heating factor in a campaign.
+
+    Planning, accounting and observation all read the weather's cached
+    demand matrix; saveable energy rides the same pass, and streams again —
+    over the peak interval only — at most once per planned day.
+    """
+    from repro.api import campaign
+    from repro.experiments.campaign_bench import build_campaign_planner
+
+    planner = build_campaign_planner(1000, seed=0)
+    calls: list = []
+    with _spy_on_passes(calls):
+        result = campaign(
+            planner, 4,
+            conditions=(WeatherCondition.MILD, WeatherCondition.SEVERE_COLD),
+            seed=0,
+        )
+    seen = {factor for factor, __ in calls}
+    full = [factor for factor, block in calls if block is None]
+    narrow = [factor for factor, block in calls if block is not None]
+    assert {day.weather.heating_factor for day in result.days} <= seen
+    assert any(day.negotiated for day in result.days)
+    assert sorted(full) == sorted(seen)
+    assert len(narrow) <= len(result.days)
+    # A narrower pass only happens for a weather whose demand was cached
+    # before its day was planned.  Here the warm-up and every day have
+    # distinct weathers, so saveable energy never streams a second time.
+    assert len(seen) == len(result.days) + 1
+    assert narrow == []

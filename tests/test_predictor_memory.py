@@ -17,7 +17,7 @@ import pytest
 from repro.api import EngineConfig, campaign
 from repro.experiments.campaign_bench import CONDITION_CYCLE, build_campaign_planner
 from repro.grid.demand import PopulationDemand
-from repro.grid.prediction import ConsumptionPredictor
+from repro.grid.prediction import ConsumptionPredictor, PredictionModel
 
 
 NUM_HOUSEHOLDS = 40
@@ -72,6 +72,52 @@ class TestRingBufferBound:
         # 3 windows' worth of observations do not add 3 windows of storage.
         assert current - baseline < 2 * one_day_bytes
         assert peak - baseline < 4 * one_day_bytes
+
+
+class TestStreamedAverage:
+    """``predict_columnar`` accumulates the ring in place of ``np.average``."""
+
+    @pytest.mark.parametrize(
+        "model, window, days",
+        [
+            (PredictionModel.MEAN, None, 11),
+            (PredictionModel.MEAN, 4, 11),
+            (PredictionModel.EXPONENTIAL_SMOOTHING, None, 11),
+            (PredictionModel.EXPONENTIAL_SMOOTHING, 4, 11),
+        ],
+        ids=["mean_unbounded", "mean_wrapped_ring", "smoothing_unbounded",
+             "smoothing_wrapped_ring"],
+    )
+    def test_bit_identical_to_np_average(self, model, window, days):
+        predictor = ConsumptionPredictor(model=model, history_window=window)
+        for day in range(days):
+            predictor.observe(_day(day))
+            expected = np.average(
+                predictor._chronological_history(), axis=0,
+                weights=predictor._weights(),
+            )
+            matrix = predictor.predict_columnar().matrix
+            assert matrix.tobytes() == expected.tobytes()
+        if window is not None:
+            assert predictor._start != 0  # the ring really wrapped
+
+    @pytest.mark.perf_smoke
+    def test_prediction_allocates_no_history_copy(self):
+        n, window = 20_000, 7
+        predictor = ConsumptionPredictor(history_window=window)
+        for day in range(window + 2):
+            predictor.observe(_day(day, n=n))
+        one_day_bytes = n * SLOTS * 8
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            predictor.predict_columnar()
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The result and one scratch row; np.average over the unwrapped ring
+        # allocated 2 x window day matrices.
+        assert peak - baseline < 3 * one_day_bytes
 
 
 class TestCampaignFootprint:
