@@ -63,6 +63,9 @@ class UtilityAgent(AgentBase):
         self.context = context
         self.method = method
         self.customer_agent_names = list(customer_agent_names)
+        self._customer_ids = [
+            self._customer_id(name) for name in self.customer_agent_names
+        ]
         self.conversation_id = conversation_id
         self.producer_agent = producer_agent
         self.external_world = external_world
@@ -123,11 +126,10 @@ class UtilityAgent(AgentBase):
                     # Deadline expired: the missing customers contribute no
                     # bid this round (zero cut-down, the protocol's silent
                     # reject) instead of stalling the whole negotiation.
-                    expected = {
-                        self._customer_id(name) for name in self.customer_agent_names
-                    }
                     self.degraded_customers.update(
-                        expected - set(self._bids_this_round)
+                        customer
+                        for customer in self._customer_ids
+                        if customer not in self._bids_this_round
                     )
                     self._evaluate_and_continue(simulation)
 
@@ -192,8 +194,7 @@ class UtilityAgent(AgentBase):
             self._bids_this_round[bid.customer] = bid
 
     def _all_bids_received(self) -> bool:
-        expected = {self._customer_id(name) for name in self.customer_agent_names}
-        return expected.issubset(set(self._bids_this_round))
+        return all(customer in self._bids_this_round for customer in self._customer_ids)
 
     def _customer_id(self, agent_name: str) -> str:
         prefix = "customer_agent_"
@@ -201,6 +202,12 @@ class UtilityAgent(AgentBase):
 
     def _evaluate_and_continue(self, simulation: "Simulation") -> None:
         assert self.current_announcement is not None
+        # Bids arrive in delivery order, a delayed bid after the others;
+        # population order keeps the round record independent of timing.
+        bids = self._bids_this_round
+        self._bids_this_round = {
+            customer: bids[customer] for customer in self._customer_ids if customer in bids
+        }
         evaluation = self.method.evaluate_round(
             self.context, self.current_announcement, self._bids_this_round, self.current_round
         )

@@ -53,7 +53,7 @@ from repro.negotiation.strategy import (
     HighestAcceptableCutdownBidding,
 )
 from repro.negotiation.termination import TerminationReason
-from repro.runtime.faults import FaultInjector, FaultPlan
+from repro.runtime.faults import FaultInjector, FaultPlan, RoundFaults
 from repro.runtime.messaging import Performative
 
 
@@ -92,13 +92,15 @@ class FastSession:
         self.rounds = validate_rounds_mode(rounds)
         #: Effective mode for the current run, decided at :meth:`start`.
         self._array_rounds = False
-        #: Deterministic chaos: drives the per-round fault masks that mirror
-        #: the object path's message/crash faults on the batched exchange.
+        #: Deterministic chaos: draws the per-round customer fault masks the
+        #: object backend's bus applies message by message.
         self.fault_injector: Optional[FaultInjector] = (
             FaultInjector(fault_plan) if fault_plan is not None else None
         )
         #: Per customer, whether any round was evaluated without their bid.
         self._degraded_ever: Optional[np.ndarray] = None
+        #: The last exchange's fault masks (``None`` fault-free).
+        self._exchange_faults: Optional[RoundFaults] = None
         #: Whether each RoundRecord keeps its per-customer bids (objects on
         #: object rounds, a copied bid column on array rounds).  The
         #: vectorized counterpart of the bus's log retention: a multi-week
@@ -347,39 +349,27 @@ class FastSession:
 
     # -- fault-aware exchange -------------------------------------------------------
 
-    def _exchange(self, announcement, state: dict) -> tuple[list[Bid], list[Bid]]:
-        """One announcement → bids exchange: ``(all_bids, delivered_bids)``.
+    def _round_faults(self, announcement) -> Optional[RoundFaults]:
+        """Draw one exchange's fault masks and book its traffic.
 
-        ``all_bids`` has one entry per customer (the population-order bid
-        state, used for final-bid reporting); ``delivered_bids`` is the
-        subset that actually reached the utility side in time and enters the
-        round evaluation.  Fault-free — or with a zero-rate plan — the two
-        are the same list and the message counters advance exactly as the
-        object path's bus counters do.
+        Returns ``None`` fault-free (or with a zero-rate plan): every
+        announcement and bid is then delivered and counted, exactly as on
+        the object backend's bus.  Otherwise the masks decide, as they do
+        there: lost announcements, and bids never sent (suppressed
+        customer) or lost, are not traffic; delayed bids were sent and
+        count.
         """
         population_size = len(self.population)
         injector = self.fault_injector
-        if injector is None or not injector.fast_path_faults:
-            bids = self._respond_all(announcement, state)
+        if injector is None or not injector.customer_faults:
             self._count_messages(Performative.ANNOUNCE, population_size)
             self._count_messages(Performative.BID, population_size)
-            return bids, bids
+            self._exchange_faults = None
+            return None
         faults = injector.customer_round_masks(
             population_size, announcement.round_number
         )
         suppressed = faults.suppressed
-        bids = self._respond_all(announcement, state, suppressed=suppressed)
-        undelivered = faults.undelivered
-        if self._degraded_ever is None:
-            self._degraded_ever = undelivered.copy()
-        else:
-            self._degraded_ever |= undelivered
-        delivered = [
-            bid for bid, lost in zip(bids, undelivered) if not lost and bid is not None
-        ]
-        # Mirror the bus's counters: announcements that were permanently lost
-        # and bids that were never sent (suppressed customer) or dropped in
-        # flight are not traffic; delayed bids were sent and count.
         self._count_messages(
             Performative.ANNOUNCE, population_size - int(faults.announce_lost.sum())
         )
@@ -389,6 +379,27 @@ class FastSession:
             - int(suppressed.sum())
             - int((faults.bid_lost & ~suppressed).sum()),
         )
+        self._exchange_faults = faults
+        return faults
+
+    def _exchange(self, announcement, state: dict) -> tuple[list[Bid], list[Bid]]:
+        """One announcement → bids exchange: ``(all_bids, delivered_bids)``.
+
+        ``all_bids`` has one entry per customer (the population-order bid
+        state, used for final-bid reporting); ``delivered_bids`` is the
+        subset that actually reached the utility side in time and enters the
+        round evaluation.  Fault-free the two are the same list.
+        """
+        faults = self._round_faults(announcement)
+        if faults is None:
+            bids = self._respond_all(announcement, state)
+            return bids, bids
+        bids = self._respond_all(announcement, state, suppressed=faults.suppressed)
+        delivered = [
+            bid
+            for bid, lost in zip(bids, faults.undelivered)
+            if not lost and bid is not None
+        ]
         return bids, delivered
 
     def _exchange_arrays(self, announcement, state: dict) -> Optional[np.ndarray]:
@@ -396,41 +407,18 @@ class FastSession:
 
         Advances the bid-state arrays (via ``_respond_all(materialise=False)``)
         and returns the round's ``undelivered`` mask — ``None`` on the
-        fault-free path, where every bid reaches the utility side.  Message
-        counters and the degradation ledger advance exactly as in
-        :meth:`_exchange`; the fault masks are drawn from the same
-        ``(seed, stream, round)`` streams, so an array run and an object run
-        of the same plan see identical faults.
+        fault-free path, where every bid reaches the utility side.  The masks
+        come from the same :meth:`_round_faults` draw, so an array run and an
+        object run of the same plan see identical faults.
         """
-        population_size = len(self.population)
-        injector = self.fault_injector
-        if injector is None or not injector.fast_path_faults:
+        faults = self._round_faults(announcement)
+        if faults is None:
             self._respond_all(announcement, state, materialise=False)
-            self._count_messages(Performative.ANNOUNCE, population_size)
-            self._count_messages(Performative.BID, population_size)
             return None
-        faults = injector.customer_round_masks(
-            population_size, announcement.round_number
-        )
-        suppressed = faults.suppressed
         self._respond_all(
-            announcement, state, suppressed=suppressed, materialise=False
+            announcement, state, suppressed=faults.suppressed, materialise=False
         )
-        undelivered = faults.undelivered
-        if self._degraded_ever is None:
-            self._degraded_ever = undelivered.copy()
-        else:
-            self._degraded_ever |= undelivered
-        self._count_messages(
-            Performative.ANNOUNCE, population_size - int(faults.announce_lost.sum())
-        )
-        self._count_messages(
-            Performative.BID,
-            population_size
-            - int(suppressed.sum())
-            - int((faults.bid_lost & ~suppressed).sum()),
-        )
-        return undelivered
+        return faults.undelivered
 
     # -- execution -----------------------------------------------------------------
     #
@@ -553,25 +541,37 @@ class FastSession:
         """
         if self._phase != "advance":
             raise RuntimeError(f"nothing to advance (phase {self._phase!r})")
-        if not (
-            self._simulation_rounds < self.max_simulation_rounds
-            and not self._finished
-        ):
+        faults = self._exchange_faults
+        wait = faults.wait_rounds if faults is not None else 1
+        if self._finished or self._simulation_rounds + wait > self.max_simulation_rounds:
+            if not self._finished:
+                # The budget ran out before the evaluation: the object
+                # backend's simulation still steps every round it may.
+                self._simulation_rounds = max(
+                    self._simulation_rounds, self.max_simulation_rounds
+                )
             self._result = self._collect_result(
                 self._awards, list(self._bids), self._simulation_rounds
             )
             self._phase = "done"
             return
+        # The evaluation happens once the Utility Agent has every bid it
+        # will get: one simulation round later, or after waiting out faults.
+        self._simulation_rounds += wait
+        if faults is not None:
+            # Only an evaluated round degrades the customers it misses.
+            if self._degraded_ever is None:
+                self._degraded_ever = np.zeros(len(self.population), dtype=bool)
+            self._degraded_ever |= faults.undelivered
         if self._array_rounds:
             self._advance_arrays()
             return
-        # Each later simulation round evaluates the previous exchange and
-        # either finishes (awards go out) or announces the next round.
+        # Evaluate the previous exchange and either finish (awards go out)
+        # or announce the next round.
         context = self._context
         method = self.scenario.method
         announcement = self._announcement
         round_number = self._round_number
-        self._simulation_rounds += 1
         self._check_bid_concession(self._delivered, self._previous_delivered)
         bids_by_customer = {bid.customer: bid for bid in self._delivered}
         evaluation = method.evaluate_round(
@@ -692,7 +692,6 @@ class FastSession:
         method = self.scenario.method
         announcement = self._announcement
         round_number = self._round_number
-        self._simulation_rounds += 1
         state = self._state
         undelivered = self._undelivered
         self._check_concession_arrays(undelivered)

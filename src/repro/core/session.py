@@ -103,10 +103,9 @@ class NegotiationSession:
             ),
         )
         if self.fault_injector is not None:
-            # Only customer agents crash-stop; the Utility Agent is the
-            # run's coordinator (crashing it would just stall the clock, not
-            # exercise degradation).
-            self.fault_injector.set_crashable(
+            # Only customer agents' announcements and bids fail; their
+            # population positions index the injector's per-round masks.
+            self.fault_injector.bind_customers(
                 agent.name for agent in self.customer_agents
             )
 

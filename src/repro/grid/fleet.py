@@ -197,23 +197,12 @@ class _FleetKernels:
         return self.demand_and_saveable(interval, weather)[1]
 
     def max_cutdown_fractions(
-        self,
-        interval: TimeInterval,
-        weather: Optional[WeatherSample] = None,
-        demand_energies: Optional[np.ndarray] = None,
+        self, interval: TimeInterval, weather: Optional[WeatherSample] = None
     ) -> np.ndarray:
-        """Largest physically implementable cut-down fraction per household.
-
-        ``demand_energies`` lets callers that already hold
-        ``energy_in(interval, weather)`` skip recomputing it.
-        """
-        # Saveable energy first: its pass also caches the demand energy_in reads.
-        saveable = self.saveable_energy(interval, weather)
-        demand = (
-            demand_energies
-            if demand_energies is not None
-            else self.energy_in(interval, weather)
-        )
+        """Largest physically implementable cut-down fraction per household."""
+        matrix, saveable = self.demand_and_saveable(interval, weather)
+        block = _interval_block(interval, self.slots_per_day)
+        demand = _interval_energy(matrix[:, block].T, 24.0 / self.slots_per_day)
         with np.errstate(divide="ignore", invalid="ignore"):
             fractions = np.minimum(1.0, saveable / demand)
         return np.where(demand > 0, fractions, 0.0)

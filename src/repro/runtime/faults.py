@@ -3,11 +3,19 @@
 The paper's agents negotiate over an unreliable distributed substrate; this
 module supplies the *unreliability* — reproducibly.  A :class:`FaultPlan` is a
 frozen description of which faults to inject at which rates, and a
-:class:`FaultInjector` turns the plan into concrete per-message, per-agent and
-per-shard fault decisions that depend only on ``(plan.seed, fault kind,
-round/sequence position, subject)``.  Two runs with the same plan therefore
-inject exactly the same faults, which is what makes chaos regressions
-debuggable and the chaos test-suite deterministic.
+:class:`FaultInjector` turns the plan into concrete fault decisions that
+depend only on ``(plan.seed, fault kind, round, position)``.  Two runs with
+the same plan therefore inject exactly the same faults, which is what makes
+chaos regressions debuggable and the chaos test-suite deterministic.
+
+**One fault model.**  Message and crash faults are drawn once per
+negotiation round by :meth:`FaultInjector.customer_round_masks`: boolean
+masks over the customer population, from a ``numpy`` generator keyed on
+``(seed, stream, round)``.  The batched backends apply a round's masks to the
+whole announcement/bid exchange at once.  On the object backend the injector
+decides each announcement's and bid's fate on the bus from the same row,
+indexed by the customer's population position.  Both backends thus inject
+the same faults, degrade the same customers and count the same traffic.
 
 **Zero-rate identity.**  Every draw is gated on its rate: a plan whose rates
 are all ``0.0`` draws nothing, mutates nothing and takes the exact same code
@@ -17,41 +25,44 @@ perturb fault-free results.  That is the oracle contract the chaos suite pins
 
 Fault surfaces
 --------------
-``message_drop_rate``
-    Each :meth:`~repro.runtime.messaging.MessageBus.send` delivery attempt
-    fails with this probability; the bus retries up to
-    ``max_send_attempts`` times (with optional exponential backoff), so a
-    message is only *lost* when every attempt fails.
+``message_drop_rate`` / ``max_send_attempts``
+    A message is lost when all ``max_send_attempts`` delivery attempts fail,
+    i.e. with probability :attr:`FaultPlan.message_loss_rate`.  A lost
+    announcement never reaches its customer; a lost bid never reaches the
+    Utility Agent.  Neither counts as traffic.
 ``message_delay_rate``
-    A delivered message is instead held back for ``message_delay_rounds``
-    simulation rounds before landing in the receiver's mailbox.
+    A bid is held ``message_delay_rounds`` simulation rounds.  The Utility
+    Agent waits ``bid_deadline_rounds`` for missing bids, so a delay degrades
+    the round exactly when ``message_delay_rounds > bid_deadline_rounds``.
 ``crash_rate``
-    A customer agent skips its entire simulation round (crash-stop for one
-    round; it recovers on the next round with its mailbox intact).
+    A customer agent crash-stops for one negotiation round: the announcement
+    reaches it (and counts as traffic) but is never processed, so it sends
+    no bid and its negotiation state does not advance.
 ``shard_failure_rate``
     A sharded-session worker raises mid-kernel; the session recovers via
     inline retry, then a per-customer oracle decomposition
     (see :class:`~repro.agents.sharded.ShardedPopulation`).
 
-The batched backends have no per-message bus, so the injector also exposes
-:meth:`FaultInjector.customer_round_masks`: the *aggregate* effect of the
-same fault kinds on one announcement/bid exchange, as boolean masks over the
-population.
+Awards, rejections and the producer, world and resource-consumer traffic are
+never faulted.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from typing import Iterable, Optional
 
 import numpy as np
+
+from repro.runtime.messaging import Message, Performative
 
 __all__ = ["FaultPlan", "FaultInjector", "InjectedShardFault", "RoundFaults"]
 
 
-#: Stream tags keeping the vectorized per-round draws of different fault
-#: kinds independent of each other (and of the digest-based scalar draws).
+#: Stream tag keeping the per-round mask draws independent of the
+#: digest-based shard-failure draws.
 _STREAM_FAST_PATH = 101
 
 
@@ -78,28 +89,27 @@ class FaultPlan:
         Root seed of every fault decision; two runs with equal plans inject
         identical faults.
     message_drop_rate:
-        Probability that one bus delivery *attempt* fails (transient).
+        Probability that one delivery *attempt* of an announcement or a bid
+        fails (transient).
     message_delay_rate:
-        Probability that a delivered message is held ``message_delay_rounds``
-        simulation rounds before reaching its mailbox.
+        Per-round probability that a customer's bid is held
+        ``message_delay_rounds`` simulation rounds before reaching the
+        Utility Agent.
     crash_rate:
-        Per-round probability that a customer agent crash-stops for the round.
+        Per-round probability that a customer agent crash-stops for the
+        negotiation round.
     shard_failure_rate:
         Per-kernel-call probability that a shard worker raises.
     max_send_attempts:
-        Bounded retry budget of :meth:`MessageBus.send` under transient
-        drops; a message is lost only when all attempts fail.
-    backoff_base_seconds:
-        Base of the exponential retry backoff (``base * 2**attempt``).  The
-        default ``0.0`` keeps chaos tests wall-clock free; production-style
-        runs can opt into real sleeps.
+        Delivery attempts per message; a message is lost only when all of
+        them fail (:attr:`message_loss_rate`).
     message_delay_rounds:
-        How many simulation rounds a delayed message is held.
+        How many simulation rounds a delayed bid is held.
     bid_deadline_rounds:
         How many simulation rounds the Utility Agent waits for missing bids
         before evaluating the round without them (protocol-level
-        degradation).  Must exceed ``message_delay_rounds`` for delays to be
-        absorbed rather than degrade.
+        degradation).  A delay is absorbed when it is at most this long and
+        degrades the round when ``message_delay_rounds`` exceeds it.
     """
 
     seed: int = 0
@@ -108,7 +118,6 @@ class FaultPlan:
     crash_rate: float = 0.0
     shard_failure_rate: float = 0.0
     max_send_attempts: int = 3
-    backoff_base_seconds: float = 0.0
     message_delay_rounds: int = 2
     bid_deadline_rounds: int = 3
 
@@ -126,8 +135,6 @@ class FaultPlan:
             raise ValueError(
                 f"max_send_attempts must be at least 1, got {self.max_send_attempts}"
             )
-        if self.backoff_base_seconds < 0:
-            raise ValueError("backoff_base_seconds must be non-negative")
         if self.message_delay_rounds < 1:
             raise ValueError(
                 f"message_delay_rounds must be at least 1, got {self.message_delay_rounds}"
@@ -151,7 +158,7 @@ class FaultPlan:
 
     @property
     def message_loss_rate(self) -> float:
-        """Probability a message is lost after every retry attempt fails."""
+        """Probability that all ``max_send_attempts`` attempts of a message fail."""
         return self.message_drop_rate ** self.max_send_attempts
 
     def as_dict(self) -> dict[str, object]:
@@ -160,47 +167,62 @@ class FaultPlan:
 
 @dataclass
 class RoundFaults:
-    """Aggregate fault masks for one batched announcement/bid exchange.
+    """The fault masks of one negotiation round's announcement/bid exchange.
 
     One boolean entry per customer, population order.  ``suppressed``
-    customers never saw the announcement (crashed, or the announcement was
-    permanently lost) — their negotiation state must not advance.
-    ``undelivered`` additionally covers bids that were sent but never reached
-    the Utility Agent in time; those customers' state advanced, but the round
-    treats them as silent rejects (zero cut-down).
+    customers never processed the announcement (crashed, or the announcement
+    was lost) — their negotiation state must not advance.  ``undelivered``
+    additionally covers bids that were sent but never reached the Utility
+    Agent in time; those customers' state advanced, but the round treats
+    them as silent rejects (zero cut-down).
     """
 
     crashed: np.ndarray
     announce_lost: np.ndarray
     bid_lost: np.ndarray
     delayed: np.ndarray
-    delay_degrades: bool
+    delay_rounds: int
+    deadline_rounds: int
 
-    @property
+    @cached_property
     def suppressed(self) -> np.ndarray:
         """Customers whose agent never processed this round's announcement."""
         return self.crashed | self.announce_lost
 
-    @property
+    @cached_property
     def undelivered(self) -> np.ndarray:
         """Customers contributing no bid to this round's evaluation."""
         lost = self.suppressed | self.bid_lost
-        if self.delay_degrades:
+        if self.delay_rounds > self.deadline_rounds:
+            # A delayed bid misses the Utility Agent's bid deadline.
             lost = lost | self.delayed
         return lost
+
+    @property
+    def wait_rounds(self) -> int:
+        """Simulation rounds from the announcement to the round's evaluation.
+
+        The Utility Agent evaluates on the next round when every bid is in,
+        waits out the bid deadline when any bid never arrives, and otherwise
+        waits for the delayed bids the deadline absorbs.
+        """
+        if self.undelivered.any():
+            return self.deadline_rounds
+        return self.delay_rounds if self.delayed.any() else 1
 
 
 class FaultInjector:
     """Turns a :class:`FaultPlan` into deterministic fault decisions.
 
-    Scalar decisions (object-path crashes, shard failures) are digest-based:
-    each is a pure function of ``(seed, kind, position, subject)``, so they
-    are independent of evaluation order and of ``PYTHONHASHSEED``.  Bus
-    delivery fates consume a per-injector send sequence (the bus is
-    single-threaded and sends in deterministic order).  Batched per-round
-    masks draw from a fresh ``numpy`` generator keyed on
-    ``(seed, stream, round)``.  Counters of every injected fault accumulate
-    into :meth:`report`, which sessions attach to
+    Message and crash faults come from :meth:`customer_round_masks`, drawn
+    from a fresh ``numpy`` generator keyed on ``(seed, stream, round)``, so
+    a round's masks do not depend on which rounds were drawn before.  The
+    batched sessions call it once per exchange; on the object backend
+    :meth:`message_fate` draws it once per negotiation round and reads each
+    announcement's and bid's fate from the customer's position in it.  Shard
+    failures are digest-based: each is a pure function of
+    ``(seed, call, shard, attempt)``.  Counters of every injected fault
+    accumulate into :meth:`report`, which sessions attach to
     ``NegotiationResult.metadata["faults"]``.
     """
 
@@ -209,34 +231,31 @@ class FaultInjector:
         self.counters: dict[str, int] = {
             "messages_dropped": 0,
             "messages_delayed": 0,
-            "send_retries": 0,
             "agent_crashes": 0,
             "shard_failures_injected": 0,
             "shard_inline_retries": 0,
             "shard_oracle_fallbacks": 0,
         }
-        self._crashable: frozenset[str] = frozenset()
-        self._send_index = 0
+        #: Object backend: customer agent name -> population position.
+        self._positions: dict[str, int] = {}
+        #: Object backend: the latest negotiation round and its masks.
+        self._round: Optional[tuple[int, RoundFaults]] = None
 
     # -- sub-system gates --------------------------------------------------------
 
     @property
-    def message_faults(self) -> bool:
-        """Whether the bus layer has anything to inject."""
-        return self.plan.message_drop_rate > 0 or self.plan.message_delay_rate > 0
-
-    @property
-    def crash_faults(self) -> bool:
-        return self.plan.crash_rate > 0
+    def customer_faults(self) -> bool:
+        """Whether message or crash faults are on (the per-round masks)."""
+        plan = self.plan
+        return (
+            plan.message_drop_rate > 0
+            or plan.message_delay_rate > 0
+            or plan.crash_rate > 0
+        )
 
     @property
     def shard_faults(self) -> bool:
         return self.plan.shard_failure_rate > 0
-
-    @property
-    def fast_path_faults(self) -> bool:
-        """Whether the batched sessions need per-round fault masks at all."""
-        return self.message_faults or self.crash_faults
 
     # -- deterministic draws -----------------------------------------------------
 
@@ -250,63 +269,15 @@ class FaultInjector:
         digest = hashlib.blake2b(payload.encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "big") / 2.0 ** 64
 
-    # -- object path: agent crashes ----------------------------------------------
-
-    def set_crashable(self, names) -> None:
-        """Restrict crash injection to the given agent names (customer agents)."""
-        self._crashable = frozenset(names)
-
-    def should_crash(self, name: str, round_number: int) -> bool:
-        """Whether ``name`` crash-stops for simulation round ``round_number``."""
-        if not self.crash_faults or name not in self._crashable:
-            return False
-        if self._chance("crash", round_number, name) < self.plan.crash_rate:
-            self.counters["agent_crashes"] += 1
-            return True
-        return False
-
-    # -- object path: bus delivery fates -----------------------------------------
-
-    def delivery_fate(self) -> tuple[str, int]:
-        """Fate of the next bus delivery: ``(fate, attempts_used)``.
-
-        ``fate`` is ``"delivered"``, ``"dropped"`` (every retry attempt
-        failed) or ``"delayed"`` (delivered, but held back
-        ``plan.message_delay_rounds`` rounds).  Counters update as a side
-        effect; the send sequence number makes each fate deterministic.
-        """
-        index = self._send_index
-        self._send_index += 1
-        plan = self.plan
-        attempts = 1
-        if plan.message_drop_rate > 0:
-            for attempt in range(plan.max_send_attempts):
-                attempts = attempt + 1
-                if self._chance("send", index, attempt) >= plan.message_drop_rate:
-                    break
-            else:
-                self.counters["messages_dropped"] += 1
-                self.counters["send_retries"] += plan.max_send_attempts - 1
-                return "dropped", plan.max_send_attempts
-            self.counters["send_retries"] += attempts - 1
-        if (
-            plan.message_delay_rate > 0
-            and self._chance("delay", index) < plan.message_delay_rate
-        ):
-            self.counters["messages_delayed"] += 1
-            return "delayed", attempts
-        return "delivered", attempts
-
-    # -- batched path: per-round masks -------------------------------------------
+    # -- per-round customer masks ------------------------------------------------
 
     def customer_round_masks(self, num_customers: int, round_number: int) -> RoundFaults:
-        """The aggregate effect of the plan on one batched exchange.
+        """The plan's message and crash faults for one negotiation round.
 
-        Mirrors the object path's fault surfaces: a crash or a permanently
-        lost announcement suppresses the customer's response entirely, a lost
-        bid or an over-deadline delay makes the bid miss the evaluation.  A
-        delay only degrades when it exceeds the bid deadline — shorter delays
-        are absorbed by the deadline, exactly as on the object path.
+        A crash or a lost announcement suppresses the customer's response
+        entirely, a lost bid or an over-deadline delay makes the bid miss the
+        evaluation.  A delay only degrades when it exceeds the bid deadline —
+        shorter delays are absorbed by the deadline.
         """
         plan = self.plan
         rng = np.random.default_rng(
@@ -331,7 +302,8 @@ class FaultInjector:
             announce_lost=announce_lost,
             bid_lost=bid_lost,
             delayed=delayed,
-            delay_degrades=plan.message_delay_rounds > plan.bid_deadline_rounds,
+            delay_rounds=plan.message_delay_rounds,
+            deadline_rounds=plan.bid_deadline_rounds,
         )
         self.counters["agent_crashes"] += int(crashed.sum())
         self.counters["messages_dropped"] += int(announce_lost.sum()) + int(
@@ -339,6 +311,44 @@ class FaultInjector:
         )
         self.counters["messages_delayed"] += int(delayed.sum())
         return faults
+
+    # -- object backend: per-message fates ---------------------------------------
+
+    def bind_customers(self, names: Iterable[str]) -> None:
+        """Map customer agent names, in population order, to mask positions."""
+        self._positions = {name: position for position, name in enumerate(names)}
+
+    def message_fate(self, message: Message) -> str:
+        """The fate of one bus message under its round's customer masks.
+
+        ``"delivered"``; ``"dropped"`` (lost, not counted as traffic);
+        ``"delayed"`` (counted, held ``plan.message_delay_rounds`` rounds);
+        or ``"unprocessed"`` (counted, but the crashed customer never sees
+        it).  Only announcements to and bids from bound customers can fail.
+        """
+        performative = message.performative
+        if performative is Performative.ANNOUNCE:
+            position = self._positions.get(message.receiver)
+        elif performative is Performative.BID:
+            position = self._positions.get(message.sender)
+        else:
+            return "delivered"
+        if position is None:
+            return "delivered"
+        round_number = message.round_number
+        if self._round is None or self._round[0] != round_number:
+            # First message of a new negotiation round: draw its masks once,
+            # so the counters advance exactly as on the batched backends.
+            masks = self.customer_round_masks(len(self._positions), round_number)
+            self._round = (round_number, masks)
+        faults = self._round[1]
+        if performative is Performative.ANNOUNCE:
+            if faults.announce_lost[position]:
+                return "dropped"
+            return "unprocessed" if faults.crashed[position] else "delivered"
+        if faults.bid_lost[position]:
+            return "dropped"
+        return "delayed" if faults.delayed[position] else "delivered"
 
     # -- sharded path: worker failures -------------------------------------------
 

@@ -191,11 +191,11 @@ class MessageBus:
         When set, only the most recent ``max_log_entries`` messages are
         retained (a bounded ring); counters still cover all traffic.
     fault_injector:
-        Optional :class:`~repro.runtime.faults.FaultInjector` deciding per
-        delivery whether a message is dropped (after the bounded
-        retry-with-backoff budget), delayed or delivered.  ``None`` — and an
-        injector whose message rates are zero — leaves the transport
-        untouched.
+        Optional :class:`~repro.runtime.faults.FaultInjector` deciding, from
+        its per-round customer masks, whether an announcement or a bid is
+        dropped, delayed, left unprocessed by a crashed customer or
+        delivered.  ``None`` — and an injector whose message and crash rates
+        are zero — leaves the transport untouched.
     """
 
     def __init__(
@@ -256,46 +256,39 @@ class MessageBus:
         """Deliver a message to the receiver's mailbox.
 
         Returns the stamped copy of the message (with its assigned id).  With
-        a fault injector attached, each delivery may be transiently dropped —
-        the bus retries up to ``plan.max_send_attempts`` times with
-        exponential backoff — or delayed; a message whose every attempt fails
-        is silently lost (the sender cannot tell, exactly as on a real
-        substrate) and is neither logged nor counted as traffic.
+        a fault injector attached, the message meets the fate
+        :meth:`~repro.runtime.faults.FaultInjector.message_fate` gives it: a
+        dropped message is silently lost (the sender cannot tell, exactly as
+        on a real substrate) and is neither logged nor counted as traffic; a
+        delayed or unprocessed one is counted but does not land now.
         """
         if message.receiver not in self._mailboxes:
             raise UnknownAgentError("receiver", message.receiver, len(self._mailboxes))
         if message.sender not in self._mailboxes:
             raise UnknownAgentError("sender", message.sender, len(self._mailboxes))
-        injector = self._injector
-        if injector is not None and injector.message_faults:
-            fate, attempts = injector.delivery_fate()
-            self._sleep_backoff(attempts)
-            if fate == "dropped":
-                return message.with_id(next(self._counter))
-            if fate == "delayed":
-                stamped = message.with_id(next(self._counter))
-                self._delayed.append(
-                    [injector.plan.message_delay_rounds, stamped]
-                )
-                self._record(stamped)
-                return stamped
         stamped = message.with_id(next(self._counter))
-        self._mailboxes[message.receiver].deliver(stamped)
+        fate = self._fate(stamped)
+        if fate == "dropped":
+            return stamped
+        self._land(stamped, fate, self._mailboxes[message.receiver])
         self._record(stamped)
         return stamped
 
-    def _sleep_backoff(self, attempts: int) -> None:
-        """Exponential backoff for the retries behind one delivery fate.
+    def _fate(self, stamped: Message) -> str:
+        """The injector's fate for one message (``"delivered"`` without one)."""
+        injector = self._injector
+        if injector is None or not injector.customer_faults:
+            return "delivered"
+        return injector.message_fate(stamped)
 
-        The injector resolves the whole retry ladder in one decision, so the
-        bus sleeps the accumulated backoff after the fact; the default
-        ``backoff_base_seconds=0.0`` keeps chaos tests wall-clock free.
-        """
-        if attempts <= 1 or self._injector is None:
-            return
-        base = self._injector.plan.backoff_base_seconds
-        if base > 0:
-            time.sleep(sum(base * 2 ** retry for retry in range(attempts - 1)))
+    def _land(self, stamped: Message, fate: str, mailbox: Mailbox) -> None:
+        """Deliver a counted message now, hold it, or (crashed receiver) drop it."""
+        if fate == "delivered":
+            # The receiver matches the mailbox owner by construction, so the
+            # per-message ownership check in Mailbox.deliver is skipped.
+            mailbox._queue.append(stamped)
+        elif fate == "delayed":
+            self._delayed.append([self._injector.plan.message_delay_rounds, stamped])
 
     def release_delayed(self) -> int:
         """Advance delayed messages one round; deliver the ones now due.
@@ -359,13 +352,8 @@ class MessageBus:
                 raise UnknownAgentError(
                     "receiver", receiver, len(self._mailboxes)
                 ) from None
-        injector = self._injector
         sent: list[Message] = []
         for receiver, mailbox in resolved:
-            fate = "delivered"
-            if injector is not None and injector.message_faults:
-                fate, attempts = injector.delivery_fate()
-                self._sleep_backoff(attempts)
             stamped = Message(
                 sender=sender,
                 receiver=receiver,
@@ -375,15 +363,10 @@ class MessageBus:
                 round_number=round_number,
                 message_id=next(counter),
             )
+            fate = self._fate(stamped)
             if fate == "dropped":
                 continue
-            if fate == "delayed":
-                self._delayed.append([injector.plan.message_delay_rounds, stamped])
-                sent.append(stamped)
-                continue
-            # The receiver matches the mailbox owner by construction, so the
-            # per-message ownership check in Mailbox.deliver is skipped.
-            mailbox._queue.append(stamped)
+            self._land(stamped, fate, mailbox)
             sent.append(stamped)
         if sent:
             self._counters_version += 1

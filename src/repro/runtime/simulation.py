@@ -74,11 +74,10 @@ class Simulation:
         Forwarded to :class:`~repro.runtime.messaging.MessageBus`; bounds log
         retention to the most recent messages.
     fault_injector:
-        Optional :class:`~repro.runtime.faults.FaultInjector` shared with the
-        bus.  When attached, messages may be dropped/delayed per its plan and
-        agents registered via :meth:`FaultInjector.set_crashable` may
-        crash-stop for individual rounds (their step is skipped; mailboxes
-        survive and they recover next round).
+        Optional :class:`~repro.runtime.faults.FaultInjector`, handed to the
+        bus.  The bus applies its per-round customer masks to announcements
+        and bids (lost, delayed, or unprocessed by a crashed customer); the
+        simulation only releases delayed messages at each round boundary.
     """
 
     def __init__(
@@ -94,7 +93,6 @@ class Simulation:
         self.random = RandomSource(seed, name="simulation")
         self.clock = SimulationClock()
         self.scheduler = Scheduler(self.clock)
-        self.fault_injector = fault_injector
         self.bus = MessageBus(
             retain_log=retain_message_log,
             max_log_entries=max_log_entries,
@@ -162,18 +160,11 @@ class Simulation:
             self.clock.now, EventType.ROUND_BOUNDARY, payload=self._round
         )
         self.scheduler.run(until=self.clock.now)
-        injector = self.fault_injector
-        if injector is None:
-            for participant in self._participants.values():
-                participant.step(self)
-        else:
-            # Delayed messages land at the round boundary, before anyone
-            # steps — indistinguishable from a slow but successful delivery.
-            self.bus.release_delayed()
-            for participant in self._participants.values():
-                if injector.should_crash(participant.name, self._round):
-                    continue
-                participant.step(self)
+        # Delayed messages land at the round boundary, before anyone steps —
+        # indistinguishable from a slow but successful delivery.
+        self.bus.release_delayed()
+        for participant in self._participants.values():
+            participant.step(self)
         self._round += 1
         self.clock.advance_by(1.0)
 

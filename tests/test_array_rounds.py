@@ -27,6 +27,7 @@ from repro.api import EngineConfig, campaign, run
 from repro.core.fast_session import FastSession
 from repro.core.results import ColumnarOutcomes, CustomerOutcome
 from repro.core.scenario import paper_prototype_scenario, synthetic_scenario
+from repro.core.session import NegotiationSession
 from repro.core.sharded_session import ShardedSession
 from repro.experiments.campaign_bench import build_campaign_planner
 from repro.grid.weather import WeatherCondition
@@ -41,6 +42,8 @@ from repro.negotiation.strategy import (
     SelectiveBidAcceptance,
 )
 from repro.runtime.faults import FaultPlan
+
+from test_fast_session_equivalence import assert_equivalent
 
 # The matrix axes: every stock method × both stock bidding policies (the
 # bidding policy is a reward-tables concept; the other methods carry their
@@ -185,7 +188,8 @@ class TestArrayObjectEquivalence:
 
 @pytest.mark.chaos
 class TestArrayRoundsUnderFaults:
-    """Fault masks are keyed by (seed, stream, round), never by round mode."""
+    """Fault masks are keyed by (seed, stream, round), never by round mode
+    or backend."""
 
     @pytest.mark.parametrize("method_name", sorted(METHOD_FACTORIES))
     def test_chaos_equivalence(self, method_name):
@@ -199,6 +203,39 @@ class TestArrayRoundsUnderFaults:
         object_result, array_result = run_both_modes(make, fault_plan=CHAOS_PLAN)
         assert_array_equivalent(object_result, array_result)
         assert array_result.metadata["faults"] == object_result.metadata["faults"]
+        # The object backend is the oracle under faults too: its bus applies
+        # the same per-round masks to each announcement and bid.
+        oracle = NegotiationSession(make(), seed=0, fault_plan=CHAOS_PLAN).run()
+        assert_equivalent(oracle, array_result)
+        assert array_result.summary() == oracle.summary()
+        assert array_result.degraded_households == oracle.degraded_households
+        assert array_result.metadata["faults"] == oracle.metadata["faults"]
+
+    @pytest.mark.parametrize("budget", [3, 8, 22, 27])
+    def test_round_budget_cut_matches_object_backend(self, budget):
+        # A simulation-round budget that runs out while the Utility Agent
+        # waits for missing bids ends both backends in the same round, and
+        # the unevaluated last exchange degrades nobody.
+        def make():
+            return synthetic_scenario(
+                num_households=40,
+                seed=9,
+                method=METHOD_FACTORIES["reward_tables_expected_gain"](),
+            )
+
+        oracle = NegotiationSession(
+            make(), seed=0, fault_plan=CHAOS_PLAN, max_simulation_rounds=budget
+        ).run()
+        result = FastSession(
+            make(), seed=0, fault_plan=CHAOS_PLAN, max_simulation_rounds=budget
+        ).run()
+        assert result.record.final_overuse is None, "the budget must cut the run"
+        assert result.simulation_rounds == oracle.simulation_rounds == budget
+        assert result.rounds == oracle.rounds
+        assert result.messages_sent == oracle.messages_sent
+        assert result.degraded_households == oracle.degraded_households
+        assert result.customer_outcomes == oracle.customer_outcomes
+        assert result.metadata["faults"] == oracle.metadata["faults"]
 
     def test_faults_actually_degrade_someone(self):
         # The chaos matrix is vacuous if the plan never fires: pin that this

@@ -1,11 +1,16 @@
 """Chaos suite: the negotiation runtime under deterministic fault injection.
 
-Three contracts, pinned across the engine backends:
+Four contracts, pinned across the engine backends:
 
 * **Zero-rate identity** — a :class:`~repro.runtime.faults.FaultPlan` whose
   rates are all zero is indistinguishable from disabled injection: identical
   summaries, identical per-customer outcomes, ``degraded_households == 0``.
   The chaos machinery itself must never perturb fault-free results.
+* **One fault model** — the object backend's bus and the batched backends
+  take their message and crash faults from the same per-round customer
+  masks, so under any plan the object oracle and ``vectorized`` agree bit
+  for bit: summaries, per-customer outcomes, degraded households and the
+  injected-fault counters.
 * **Graceful degradation** — under arbitrary fault plans (random rates,
   seeds and deadlines via hypothesis) a run never crashes, still reports an
   outcome for *every* customer, keeps its surplus/reward accounting
@@ -32,6 +37,8 @@ from repro.core.modes import validate_shard_count
 from repro.core.scenario import synthetic_scenario
 from repro.desire.errors import DesireError, UnknownAgentError
 from repro.experiments.campaign_bench import CONDITION_CYCLE, build_campaign_planner
+import numpy as np
+
 from repro.runtime.faults import FaultInjector
 from repro.runtime.messaging import Message, MessageBus, Performative
 
@@ -128,8 +135,75 @@ class TestChaosProperties:
         result = run_with_plan("object", plan)
         injected = result.metadata["faults"]["injected"]
         assert injected["agent_crashes"] > 0
-        assert injected["send_retries"] > 0
+        assert result.degraded_households > 0
         assert len(result.customer_outcomes) == 16
+
+
+class TestOneFaultModel:
+    """The object oracle and the batched fast path inject the same faults."""
+
+    @given(plan=fault_plans)
+    @settings(max_examples=25, deadline=None)
+    def test_object_matches_vectorized(self, plan):
+        oracle = run_with_plan("object", plan)
+        result = run_with_plan("vectorized", plan)
+        assert result.summary() == oracle.summary()
+        assert result.customer_outcomes == oracle.customer_outcomes
+        assert result.degraded_households == oracle.degraded_households
+        assert (
+            result.metadata["faults"]["injected"]
+            == oracle.metadata["faults"]["injected"]
+        )
+        # Round bid tables match in population order, delayed bids included.
+        assert len(result.record.rounds) == len(oracle.record.rounds)
+        for expected, actual in zip(oracle.record.rounds, result.record.rounds):
+            assert list(actual.bids.items()) == list(expected.bids.items())
+
+    def test_message_fates_follow_the_round_masks(self):
+        plan = FaultPlan(
+            seed=5,
+            message_drop_rate=0.6,
+            message_delay_rate=0.5,
+            crash_rate=0.4,
+            max_send_attempts=1,
+        )
+        names = [f"customer_agent_{index}" for index in range(24)]
+        injector = FaultInjector(plan)
+        injector.bind_customers(names)
+        reference = FaultInjector(plan)
+        masks = reference.customer_round_masks(len(names), 2)
+
+        def fate(performative, sender, receiver):
+            return injector.message_fate(
+                Message(
+                    sender=sender,
+                    receiver=receiver,
+                    performative=performative,
+                    round_number=2,
+                )
+            )
+
+        for position, name in enumerate(names):
+            announce = fate(Performative.ANNOUNCE, "utility_agent", name)
+            if masks.announce_lost[position]:
+                assert announce == "dropped"
+            elif masks.crashed[position]:
+                assert announce == "unprocessed"
+            else:
+                assert announce == "delivered"
+            bid = fate(Performative.BID, name, "utility_agent")
+            if masks.bid_lost[position]:
+                assert bid == "dropped"
+            elif masks.delayed[position]:
+                assert bid == "delayed"
+            else:
+                assert bid == "delivered"
+            # Awards and other traffic are never faulted.
+            assert fate(Performative.AWARD, "utility_agent", name) == "delivered"
+        # The round's masks were drawn once, however many messages asked.
+        assert injector.counters == reference.counters
+        for kind in ("crashed", "announce_lost", "bid_lost", "delayed"):
+            assert getattr(masks, kind).any(), f"vacuous: no {kind} customer"
 
 
 class TestShardRecovery:
@@ -213,14 +287,28 @@ class TestConfigValidation:
             FaultPlan(bid_deadline_rounds=0)
         assert FaultPlan(message_drop_rate=0.5, max_send_attempts=2).message_loss_rate == 0.25
 
-    def test_injector_draws_are_order_independent(self):
-        injector = FaultInjector(FaultPlan(seed=11, crash_rate=0.5))
-        injector.set_crashable({"customer_3"})
-        first = injector.should_crash("customer_3", 4)
-        again = FaultInjector(FaultPlan(seed=11, crash_rate=0.5))
-        again.set_crashable({"customer_3"})
-        again.should_crash("customer_3", 99)  # unrelated draw in between
-        assert again.should_crash("customer_3", 4) == first
+    def test_round_masks_are_order_independent(self):
+        plan = FaultPlan(
+            seed=11, message_drop_rate=0.5, message_delay_rate=0.5, crash_rate=0.5
+        )
+
+        def masks(injector, round_number):
+            faults = injector.customer_round_masks(32, round_number)
+            return (faults.crashed, faults.announce_lost, faults.bid_lost, faults.delayed)
+
+        injector = FaultInjector(plan)
+        first = masks(injector, 4)  # round 4 drawn first
+        masks(injector, 99)
+        again = masks(injector, 4)  # ... again after another round
+        later = FaultInjector(plan)
+        for other in (0, 9, 2):
+            masks(later, other)  # unrelated rounds drawn before
+        after_others = masks(later, 4)
+        fresh = masks(FaultInjector(plan), 4)
+        for drawn in (again, after_others, fresh):
+            for expected, mask in zip(first, drawn):
+                assert np.array_equal(mask, expected)
+        assert all(mask.any() for mask in first)
 
 
 class TestChaosCampaignSmoke:

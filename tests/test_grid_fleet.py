@@ -82,13 +82,6 @@ class TestFleetKernels:
         for fraction, household in zip(fractions, households):
             assert fraction == household.max_cutdown_fraction(interval, weather)
 
-    def test_max_cutdown_fractions_accepts_precomputed_energies(self, fleet, weather, interval):
-        energies = fleet.energy_in(interval, weather)
-        with_energies = fleet.max_cutdown_fractions(
-            interval, weather, demand_energies=energies
-        )
-        assert np.array_equal(with_energies, fleet.max_cutdown_fractions(interval, weather))
-
     def test_aggregate_demand_matches_scalar_aggregation(self, fleet, households, weather):
         from repro.grid.load_profile import LoadProfile
 
@@ -401,13 +394,6 @@ class TestBucketedFleet:
         fractions = bucketed.max_cutdown_fractions(interval, weather)
         for fraction, household in zip(fractions, mixed_households):
             assert fraction == household.max_cutdown_fraction(interval, weather)
-
-    def test_max_cutdown_fractions_accepts_precomputed_energies(self, bucketed, weather, interval):
-        energies = bucketed.energy_in(interval, weather)
-        assert np.array_equal(
-            bucketed.max_cutdown_fractions(interval, weather, demand_energies=energies),
-            bucketed.max_cutdown_fractions(interval, weather),
-        )
 
     def test_aggregate_demand_matches_scalar_aggregation(self, bucketed, mixed_households, weather):
         from repro.grid.load_profile import LoadProfile

@@ -9,8 +9,8 @@ chain on a deliberately mixed population — two appliance libraries, permuted
 ownership-dict orders, an appliance-less household — from the day-ahead
 planner through ``repro.api.run`` on the object, vectorized and sharded
 backends, under object and array rounds, with and without a chaos
-:class:`~repro.runtime.faults.FaultPlan`.  The object path is the oracle;
-everything must match it bit for bit.
+:class:`~repro.runtime.faults.FaultPlan`.  The object path is the oracle,
+under faults as well; everything must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -104,6 +104,17 @@ def make_hetero_grid_scenario(num_customers: int = 24) -> Scenario:
     )
 
 
+def assert_chaos_equivalent(reference, result) -> None:
+    """Field-by-field equality plus the fault ledger and counters."""
+    assert_equivalent(reference, result)
+    assert result.summary() == reference.summary()
+    assert result.degraded_households == reference.degraded_households
+    assert (
+        result.metadata["faults"]["injected"]
+        == reference.metadata["faults"]["injected"]
+    )
+
+
 class TestPlannedMixedPopulation:
     """The tentpole, end to end: plan on buckets, negotiate batched."""
 
@@ -134,25 +145,27 @@ class TestPlannedMixedPopulation:
         result = run(make_planned_scenario(), backend="vectorized", rounds="array")
         assert_array_equivalent(reference, result)
 
-    def test_chaos_plan_agrees_across_batched_backends(self):
-        # Fault injection is a fast-session-family contract: the object
-        # path's message-bus faults are mechanically different, so the
-        # oracle here is the vectorized session, matched by the sharded one.
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("method_name", sorted(METHOD_FACTORIES))
+    def test_chaos_plan_agrees_across_backends(self, method_name):
+        # One fault model: the object backend's bus applies the per-round
+        # customer masks the batched backends apply to the whole exchange.
         reference = run(
-            make_planned_scenario(materialise="eager"),
-            backend="vectorized",
-            rounds="object",
+            make_planned_scenario(method_name, materialise="eager"),
+            backend="object",
             fault_plan=CHAOS_PLAN,
         )
-        sharded = run(
-            make_planned_scenario(),
-            backend="sharded",
-            shards=2,
-            fault_plan=CHAOS_PLAN,
-        )
-        assert_equivalent(reference, sharded)
         assert reference.metadata["faults"]["injected"]["agent_crashes"] > 0
+        for backend, options in (("vectorized", {}), ("sharded", {"shards": 2})):
+            result = run(
+                make_planned_scenario(method_name),
+                backend=backend,
+                fault_plan=CHAOS_PLAN,
+                **options,
+            )
+            assert_chaos_equivalent(reference, result)
 
+    @pytest.mark.chaos
     def test_chaos_array_rounds_match(self):
         reference = run(
             make_planned_scenario(materialise="eager"),
@@ -167,6 +180,12 @@ class TestPlannedMixedPopulation:
             fault_plan=CHAOS_PLAN,
         )
         assert_array_equivalent(reference, result)
+        oracle = run(
+            make_planned_scenario(materialise="eager"),
+            backend="object",
+            fault_plan=CHAOS_PLAN,
+        )
+        assert_chaos_equivalent(oracle, result)
 
 
 class TestHeterogeneousGridScenarios:
@@ -185,6 +204,7 @@ class TestHeterogeneousGridScenarios:
         )
         assert_equivalent(reference, sharded)
 
+    @pytest.mark.chaos
     def test_array_rounds_with_chaos_match(self):
         reference = run(
             make_hetero_grid_scenario(),
@@ -199,3 +219,7 @@ class TestHeterogeneousGridScenarios:
             fault_plan=CHAOS_PLAN,
         )
         assert_array_equivalent(reference, result)
+        oracle = run(
+            make_hetero_grid_scenario(), backend="object", fault_plan=CHAOS_PLAN
+        )
+        assert_chaos_equivalent(oracle, result)

@@ -146,6 +146,14 @@ class TestRoutingAndSolos:
         with pytest.raises(RequestValidationError, match="'shard_threshold'"):
             _request({"config": {"shard_threshold": 10}})
 
+    def test_removed_fault_plan_backoff_is_rejected(self):
+        # Faults come from the per-round masks alone; the former bus retry
+        # backoff is no longer a fault-plan key.
+        with pytest.raises(RequestValidationError, match="'backoff_base_seconds'"):
+            _request({
+                "config": {"fault_plan": {"seed": 1, "backoff_base_seconds": 0.01}}
+            })
+
     def test_full_society_config_routes_solo(self):
         request = _request({
             "scenario": {"households": 10, "seed": 0},
