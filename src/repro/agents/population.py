@@ -50,7 +50,12 @@ from repro.grid.demand import DemandModel
 from repro.grid.fleet import Fleet, FleetIncompatibleError, pack_fleet
 from repro.grid.household import Household
 from repro.grid.weather import WeatherSample
-from repro.negotiation.methods.base import CustomerContext, NegotiationMethod, UtilityContext
+from repro.negotiation.methods.base import (
+    CustomerColumn,
+    CustomerContext,
+    NegotiationMethod,
+    UtilityContext,
+)
 from repro.negotiation.reward_table import CutdownRewardRequirements
 from repro.runtime.clock import TimeInterval
 from repro.runtime.rng import RandomSource
@@ -234,10 +239,17 @@ class CustomerPopulation:
     # -- agent construction ------------------------------------------------------------
 
     def utility_context(self) -> UtilityContext:
+        """The Utility Agent's view of this population.
+
+        A lazy population hands over read-only :class:`~repro.negotiation
+        .methods.base.CustomerColumn` views over its one id list and its use
+        columns, so no per-customer map is built unless a reader looks a
+        customer up (the array rounds never do); an eager one builds dicts.
+        """
         if self._specs is None:
             columns = self._columns
-            predicted = dict(zip(columns.customer_ids, columns.predicted_uses))
-            allowed = dict(zip(columns.customer_ids, columns.allowed_uses))
+            predicted = CustomerColumn(columns.customer_ids, columns.predicted_uses)
+            allowed = CustomerColumn(columns.customer_ids, columns.allowed_uses)
         else:
             predicted = {s.customer_id: s.predicted_use for s in self._specs}
             allowed = {s.customer_id: s.allowed_use for s in self._specs}
@@ -311,7 +323,7 @@ class CustomerPopulation:
         validate_materialise_mode(materialise)
         if len(fleet) != len(predicted_uses) or len(fleet) != len(requirements):
             raise ValueError("fleet, predicted uses and requirements must align")
-        predicted = [float(use) for use in predicted_uses]
+        predicted = np.asarray(predicted_uses, dtype=float).tolist()
         if materialise == "lazy":
             population = cls.__new__(cls)
             population._specs = None

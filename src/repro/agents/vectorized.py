@@ -137,6 +137,7 @@ class VectorizedPopulation:
 
     def _reset_kernel_cache(self) -> None:
         self._required_rewards_cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        #: Per announced grid: ``(grid, (N, G) required, (G, N) thresholds)``.
         self._grid_cache: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._interpolation_cache: dict[bytes, np.ndarray] = {}
         self.kernel_cache_hits = 0
@@ -427,7 +428,7 @@ class VectorizedPopulation:
         and ``0`` for the zero cut-down (always acceptable).
 
         The triplet is cached per table content (the negotiation announces one
-        table per round), so the bidding kernels, acceptance masks and any
+        table per round), so the bidding kernels, reward lookups and any
         re-evaluation of the same round's table share one computation.  Only
         the offered rewards are per table: the grid and the required matrix
         come from :meth:`_grid_columns`, shared by every table announced on
@@ -451,15 +452,27 @@ class VectorizedPopulation:
         )
 
     def _grid_columns(self, table_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(table_grid, required_matrix, feasible_mask)`` for an announced grid.
+        """``(table_grid, required_matrix, acceptance_thresholds)`` for a grid.
 
-        Everything about a round's table that does not depend on its rewards:
-        the ``(N, G)`` gather of required rewards onto the table's cut-downs
-        and the mask of cut-downs each customer can physically deliver.  A
-        negotiation re-announces one grid with new rewards every round, so
-        this is computed once per grid (not counted in
-        :meth:`kernel_cache_stats`, whose counters are per table) and each
-        round only compares its offers.
+        Everything about a round's table that does not depend on its rewards,
+        computed once per announced grid (a negotiation re-announces one grid
+        with new rewards every round) and not counted in
+        :meth:`kernel_cache_stats`, whose counters are per table:
+
+        * ``required_matrix`` — the row-major ``(N, G)`` gather of required
+          rewards onto the table's cut-downs (``inf`` off the requirement
+          grid, ``0`` at the zero cut-down), as :meth:`_required_rewards_for`
+          returns it;
+        * ``acceptance_thresholds`` — the same rewards *grid-major*: one
+          C-contiguous ``(G, N)`` matrix, with every cut-down a customer
+          cannot physically deliver also set to ``+inf``.  Feasibility is
+          folded into the threshold, so a round's acceptance is the single
+          comparison ``offered[:, None] >= thresholds`` and every per-customer
+          reduction runs along axis 0 — a row-by-row elementwise pass over
+          ``G`` contiguous ``N``-vectors instead of ``N`` reductions over
+          ``G``-element rows.  The comparison needs no mask while offers are
+          finite; :meth:`highest_acceptable_cutdowns` restores it for an
+          infinite offer.
         """
         key = table_grid.tobytes()
         cached = self._grid_cache.get(key)
@@ -476,21 +489,28 @@ class VectorizedPopulation:
             np.inf,
         )
         required[:, table_grid == 0.0] = 0.0
-        feasible = table_grid[None, :] <= self.max_feasible_cutdowns[:, None] + 1e-12
-        entry = (table_grid, required, feasible)
+        # Always a copy: the fancy-indexed gather may already come out
+        # column-major, and the row-major matrix must stay as it is.
+        thresholds = np.array(required.T, order="C")
+        thresholds[self._infeasible(table_grid)] = np.inf
+        entry = (table_grid, required, thresholds)
         for array in entry:
             array.setflags(write=False)
         return self._cache_store(self._grid_cache, key, entry)
 
-    def _acceptable_mask(
-        self, table_grid: np.ndarray, offered: np.ndarray, required: np.ndarray
-    ) -> np.ndarray:
-        """Mirror of ``CutdownRewardRequirements.is_acceptable`` per cell."""
-        __, __, feasible = self._grid_columns(table_grid)
-        return feasible & (offered[None, :] >= required)
+    def _infeasible(self, table_grid: np.ndarray) -> np.ndarray:
+        """Grid-major ``(G, N)`` mask of cut-downs beyond a customer's limit."""
+        return table_grid[:, None] > self.max_feasible_cutdowns[None, :] + 1e-12
 
     def highest_acceptable_cutdowns(self, table: RewardTable) -> np.ndarray:
-        """Batched ``CutdownRewardRequirements.highest_acceptable_cutdown``."""
+        """Batched ``CutdownRewardRequirements.highest_acceptable_cutdown``.
+
+        A cell is acceptable when its offer covers its threshold.  A ``+inf``
+        threshold marks an undeliverable cut-down (beyond the customer's
+        limit, or off its requirement grid) only while offers are finite: an
+        infinite offer passes it, so for such a table those cells are masked
+        explicitly and only deliverable ones compare.
+        """
         if self.requirement_grid is None:
             if self._grid_groups is not None:
                 return self._gather_scatter(
@@ -499,16 +519,24 @@ class VectorizedPopulation:
             return np.array(
                 [r.highest_acceptable_cutdown(table) for r in self.requirements]
             )
-        table_grid, offered, required = self._required_rewards_for(table)
-        acceptable = self._acceptable_mask(table_grid, offered, required)
-        return np.where(acceptable, table_grid[None, :], 0.0).max(axis=1)
+        table_grid, offered, __ = self._required_rewards_for(table)
+        acceptable = offered[:, None] >= self._grid_columns(table_grid)[2]
+        if np.isposinf(offered).any():
+            on_grid = np.isin(table_grid, self.requirement_grid) | (table_grid == 0.0)
+            acceptable &= on_grid[:, None] & ~self._infeasible(table_grid)
+        return np.where(acceptable, table_grid[:, None], 0.0).max(axis=0)
 
     def expected_gain_cutdowns(self, table: RewardTable) -> np.ndarray:
         """Batched ``ExpectedGainBidding.choose_cutdown`` (without history).
 
         Among acceptable positive cut-downs, pick the one with the largest
         surplus (offered minus required reward); ties go to the larger
-        cut-down, exactly as the scalar policy's scan does.
+        cut-down, exactly as the scalar policy's scan does.  A cell is
+        eligible exactly when its surplus over the threshold is ``>= 0``:
+        an offer short of the requirement leaves it negative, an
+        undeliverable cell's is ``-inf`` or, against an infinite offer, not
+        a number — as is an infinite offer against an infinite requirement,
+        which the scalar scan's comparisons never pick either.
         """
         if self.requirement_grid is None:
             if self._grid_groups is not None:
@@ -521,12 +549,13 @@ class VectorizedPopulation:
             return np.array(
                 [policy.choose_cutdown(table, r) for r in self.requirements]
             )
-        table_grid, offered, required = self._required_rewards_for(table)
-        acceptable = self._acceptable_mask(table_grid, offered, required)
-        eligible = acceptable & (table_grid[None, :] > 0.0)
-        surplus = np.where(eligible, offered[None, :] - required, -np.inf)
-        best = surplus.max(axis=1)
-        chosen = np.where(surplus == best[:, None], table_grid[None, :], 0.0).max(axis=1)
+        table_grid, offered, __ = self._required_rewards_for(table)
+        with np.errstate(invalid="ignore"):
+            surplus = offered[:, None] - self._grid_columns(table_grid)[2]
+            surplus = np.where(surplus >= 0.0, surplus, -np.inf)
+        surplus[table_grid <= 0.0] = -np.inf
+        best = surplus.max(axis=0)
+        chosen = np.where(surplus == best, table_grid[:, None], 0.0).max(axis=0)
         return np.where(np.isneginf(best), 0.0, chosen)
 
     def table_rewards(self, table: RewardTable, cutdowns: np.ndarray) -> np.ndarray:

@@ -266,6 +266,12 @@ class HouseholdFleet(_FleetKernels):
                 raise FleetIncompatibleError(
                     "all fleet households must share one appliance library"
                 )
+            ownership = household.profile.ownership
+            if list(ownership) == names:
+                # Keyed exactly by the columns, in column order (every
+                # generated household): the values are the row.
+                ownership_rows.append(list(ownership.values()))
+                continue
             # The scalar path aggregates appliances in ownership-dict order;
             # the fleet aggregates in column order.  Bit-identity therefore
             # requires the owned appliances to appear in column order (the
@@ -275,7 +281,7 @@ class HouseholdFleet(_FleetKernels):
             try:
                 owned_columns = [
                     index_of[name]
-                    for name, scale in household.profile.ownership.items()
+                    for name, scale in ownership.items()
                     if scale > 0
                 ]
             except KeyError as exc:
@@ -288,9 +294,7 @@ class HouseholdFleet(_FleetKernels):
                     f"household {household.household_id!r} lists owned "
                     f"appliances out of column order"
                 )
-            ownership_rows.append(
-                [household.profile.ownership.get(name, 0.0) for name in names]
-            )
+            ownership_rows.append([ownership.get(name, 0.0) for name in names])
         self.household_ids = [h.household_id for h in self.households]
         self.sizes = np.array([float(h.size) for h in self.households])
         self.comfort_weights = np.array(

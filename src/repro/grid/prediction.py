@@ -145,9 +145,14 @@ class ConsumptionPredictor:
         if self._household_ids is None:
             self._household_ids = day_ids
             self._id_set = frozenset(day_ids)
+        elif day_ids == self._household_ids:
+            # The same households in the same order (a fleet's every day):
+            # rows already align, and comparing the shared id strings is a
+            # pointer walk, so no id set is built.
+            pass
         elif set(day_ids) != self._id_set:
             raise ValueError("all observed days must cover the same households")
-        elif day_ids != self._household_ids:
+        else:
             # Buffer rows are positional; realign a day whose profiles come in
             # a different id order (the object path looked profiles up by id).
             position = {household_id: row for row, household_id in enumerate(day_ids)}

@@ -13,8 +13,9 @@ three methods ... as different strategies").
 from __future__ import annotations
 
 import abc
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +28,91 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.agents.vectorized import VectorizedPopulation
 
 
+class CustomerColumn(Mapping):
+    """A read-only customer → value mapping over two aligned sequences.
+
+    The column-backed form of a per-customer map such as
+    :attr:`UtilityContext.predicted_uses`: a lazy population hands over its
+    shared id list and a use column instead of building an N-entry dict
+    every day.  Iteration, ``len``, ``keys()``, ``values()`` and ``items()``
+    walk the columns in population order — the order ``dict(zip(ids,
+    column))`` has — without any per-customer work up front; the id → row
+    index behind ``[]``, ``get`` and ``in`` is built on the first key
+    lookup, as :class:`~repro.negotiation.protocol.ColumnarBids` does.
+    Customer ids are unique within a population, so the view compares equal
+    to that dict.
+    """
+
+    __slots__ = ("customer_ids", "column", "_index")
+
+    def __init__(self, customer_ids: Sequence[str], column: Sequence[float]) -> None:
+        if len(column) != len(customer_ids):
+            raise ValueError(
+                f"column length {len(column)} does not match "
+                f"{len(customer_ids)} customers"
+            )
+        self.customer_ids = customer_ids
+        self.column = column
+        self._index: Optional[dict[str, int]] = None
+
+    def _customer_index(self) -> dict[str, int]:
+        """Customer → row, in population order (built once)."""
+        if self._index is None:
+            self._index = {customer: row for row, customer in enumerate(self.customer_ids)}
+        return self._index
+
+    def __getitem__(self, customer: str) -> float:
+        try:
+            row = self._customer_index()[customer]
+        except KeyError:
+            raise KeyError(customer) from None
+        return self.column[row]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.customer_ids)
+
+    def __len__(self) -> int:
+        return len(self.customer_ids)
+
+    def values(self) -> ValuesView:
+        return _ColumnValues(self)
+
+    def items(self) -> ItemsView:
+        return _ColumnItems(self)
+
+    def __repr__(self) -> str:
+        return f"CustomerColumn({len(self)} customers)"
+
+
+class _ColumnValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping.column)
+
+
+class _ColumnItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping.customer_ids, self._mapping.column)
+
+
+def _same_customers(first: Mapping[str, float], second: Mapping[str, float]) -> bool:
+    """Whether two per-customer maps cover the same customers.
+
+    Two column views over one id list agree by construction; anything else
+    compares key sets.
+    """
+    if (
+        isinstance(first, CustomerColumn)
+        and isinstance(second, CustomerColumn)
+        and first.customer_ids is second.customer_ids
+    ):
+        return True
+    return set(first) == set(second)
+
+
 @dataclass
 class UtilityContext:
     """Everything the Utility Agent knows when driving a negotiation.
@@ -37,7 +123,8 @@ class UtilityContext:
         Capacity servable at normal production cost during the peak interval
         (the paper's ``normal_use``).
     predicted_uses:
-        Per-customer predicted consumption in the peak interval.
+        Per-customer predicted consumption in the peak interval (a dict, or a
+        :class:`CustomerColumn` view from a lazy population).
     allowed_uses:
         Per-customer allowed (baseline) consumption in the peak interval.
     interval:
@@ -45,21 +132,28 @@ class UtilityContext:
     max_allowed_overuse:
         The largest predicted overuse the Utility Agent tolerates without
         further negotiation (absolute, same unit as ``normal_use``).
+
+    The maps are read, never written: :attr:`total_predicted_use` is summed
+    once, at construction.
     """
 
     normal_use: float
-    predicted_uses: dict[str, float]
-    allowed_uses: dict[str, float]
+    predicted_uses: Mapping[str, float]
+    allowed_uses: Mapping[str, float]
     interval: Optional[TimeInterval] = None
     max_allowed_overuse: float = 0.0
 
     def __post_init__(self) -> None:
         if self.normal_use <= 0:
             raise ValueError("normal use must be positive")
-        if set(self.predicted_uses) != set(self.allowed_uses):
+        if not _same_customers(self.predicted_uses, self.allowed_uses):
             raise ValueError("predicted and allowed uses must cover the same customers")
         if self.max_allowed_overuse < 0:
             raise ValueError("max allowed overuse must be non-negative")
+        # Left to right over the values in map order: the same additions
+        # sum(dict.values()) makes, so a column view and a dict agree bit
+        # for bit.
+        self._total_predicted_use = sum(self.predicted_uses.values())
 
     @property
     def customers(self) -> list[str]:
@@ -67,7 +161,7 @@ class UtilityContext:
 
     @property
     def total_predicted_use(self) -> float:
-        return sum(self.predicted_uses.values())
+        return self._total_predicted_use
 
     @property
     def initial_overuse(self) -> float:

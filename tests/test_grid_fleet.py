@@ -18,7 +18,7 @@ from repro.grid.appliances import (
     ApplianceLibrary,
     standard_appliance_library,
 )
-from repro.grid.demand import DemandModel
+from repro.grid.demand import DemandModel, PopulationDemand
 from repro.grid.fleet import (
     BucketedFleet,
     FleetIncompatibleError,
@@ -203,8 +203,6 @@ class TestColumnarPredictor:
         shuffled = dict(reversed(list(profiles.items())))
         predictor = ConsumptionPredictor()
         predictor.observe(day_one)
-        from repro.grid.demand import PopulationDemand
-
         predictor.observe(PopulationDemand(shuffled))
         prediction = predictor.predict()
         # Both days carry identical profiles per id, so the mean equals day one.
@@ -216,6 +214,35 @@ class TestColumnarPredictor:
         predictor.observe(DemandModel(households[:5], RandomSource(1, "a")).realise(None))
         with pytest.raises(ValueError):
             predictor.observe(DemandModel(households[5:10], RandomSource(2, "b")).realise(None))
+
+    def test_observe_realigns_a_reordered_fleet_day(self, households):
+        # Aligned fleet days skip the id-set check; a later day in another
+        # order must still be realigned onto the first day's rows.
+        demand_model = DemandModel(households[:8], RandomSource(4, "d"))
+        predictor = ConsumptionPredictor()
+        predictor.observe(demand_model.realise(None))
+        predictor.observe(demand_model.realise(None))
+        day = demand_model.realise(None)
+        order = [3, 0, 7, 1, 6, 2, 5, 4]
+        ids = day.household_ids
+        predictor.observe(
+            PopulationDemand(
+                household_ids=[ids[row] for row in order], matrix=day.matrix()[order]
+            )
+        )
+        assert predictor._chronological_history()[-1].tobytes() == day.matrix().tobytes()
+
+    def test_observe_rejects_a_day_with_one_different_id(self, households):
+        demand_model = DemandModel(households[:6], RandomSource(5, "d"))
+        predictor = ConsumptionPredictor()
+        predictor.observe(demand_model.realise(None))
+        predictor.observe(demand_model.realise(None))
+        day = demand_model.realise(None)
+        renamed = day.household_ids
+        renamed[-1] = "not-in-the-fleet"
+        with pytest.raises(ValueError):
+            predictor.observe(PopulationDemand(household_ids=renamed, matrix=day.matrix()))
+        assert predictor.history_length == 2
 
     def test_history_buffer_grows_incrementally(self, households):
         demand_model = DemandModel(households[:3], RandomSource(3, "d"))
